@@ -4,10 +4,13 @@
    simulated device), preloads them through the router, and runs the
    three scenarios the evaluation reports: a closed-loop throughput
    scaling curve, a node kill + rejoin timeline, and a live shard
-   migration timeline — each ending in the oracle divergence audit.
-   Both the `cluster` experiment (pretty tables) and `ckv cluster`
-   (benchmark JSON, CI gate) drive these entry points, so the numbers
-   they report come from identical runs. *)
+   migration timeline — each ending in the oracle divergence audit —
+   plus the chaos cells.  The `cluster` and `chaos` experiments drive
+   these entry points.
+
+   Every entry point takes one experiment [seed] (default 1) and derives
+   each seed it uses, node store configs included, as [base + seed - 1],
+   so seed 1 reproduces the historical runs. *)
 
 module Histogram = Metrics.Histogram
 module Loadgen = Service.Loadgen
@@ -22,15 +25,15 @@ type setup = {
   n_keys : int;
 }
 
-let build scale ~n ~replicas ~wq ~rq ?(vshards = 64) ?n_keys
-    ?(policy = Cluster.Router.default_policy) ?(rseed = 0) () =
+let build ?(seed = 1) scale ~n ~replicas ~wq ~rq ?(vshards = 64) ?n_keys
+    ?(policy = Cluster.Router.default_policy) ?(rseed = seed - 1) () =
   let n_keys =
     Option.value n_keys ~default:(scale.Stores.load_keys / 2)
   in
   let nodes =
     Array.init n (fun i ->
         let spec =
-          Stores.chameleon ~name:(Printf.sprintf "node%d" i) scale
+          Stores.chameleon ~name:(Printf.sprintf "node%d" i) ~seed scale
         in
         Cluster.Node.create ~id:i (spec.Stores.make ()))
   in
@@ -61,14 +64,14 @@ type scaling_point = {
   sp_put_p99 : float;
 }
 
-let scaling ?(seed = 7) ?(get_frac = 0.9) scale node_counts =
+let scaling ?(seed = 1) ?(get_frac = 0.9) scale node_counts =
   List.map
     (fun n ->
       let replicas = min 2 n in
-      let s = build scale ~n ~replicas ~wq:replicas ~rq:1 () in
+      let s = build ~seed scale ~n ~replicas ~wq:replicas ~rq:1 () in
       let conns = 8 * n in
       let closed =
-        Loadgen.closed_loop ~seed ~conns
+        Loadgen.closed_loop ~seed:(7 + seed - 1) ~conns
           ~reqs_per_conn:(max 64 (scale.Stores.sweep_ops / conns))
           ~reqgen:
             (Loadgen.mixed_reqgen ~n_keys:s.n_keys ~get_frac
@@ -118,14 +121,20 @@ type scenario = {
    injector and the defensive router policy; the end-of-run audit then
    uses the partition-aware {!Run.chaos_divergence} (a replica may hold
    unacked residue) and the scan audit is skipped — under loss a timed-out
-   scan is legal, so entry-exact comparison would be noise. *)
-let scenario ~seed ~label ~mk_events ?(loss = 0.0) scale =
+   scan is legal, so entry-exact comparison would be noise.  The run's
+   own seeds derive from [base]. *)
+let scenario ~seed ~base ~label ~mk_events ?(loss = 0.0) scale =
+  let exp_seed = seed in
+  let seed = base + exp_seed - 1 in
   let n = 4 in
   let policy =
     if loss > 0.0 then Cluster.Router.defensive
     else Cluster.Router.default_policy
   in
-  let s = build scale ~n ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed () in
+  let s =
+    build ~seed:exp_seed scale ~n ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed
+      ()
+  in
   let reqgen =
     Loadgen.mixed_reqgen ~n_keys:s.n_keys ~get_frac:0.9
       ~vlen:scale.Stores.vlen
@@ -191,7 +200,7 @@ let scenario ~seed ~label ~mk_events ?(loss = 0.0) scale =
 let victim = 1 (* the node the failover scenario kills *)
 
 let failover ?(seed = 1) ?loss scale =
-  scenario ~seed ~label:"failover" ?loss scale
+  scenario ~seed ~base:1 ~label:"failover" ?loss scale
     ~mk_events:(fun _s ~t1 ~duration_ns ->
       let kill_at = t1 +. (0.30 *. duration_ns) in
       let rejoin_at = t1 +. (0.55 *. duration_ns) in
@@ -219,8 +228,8 @@ let pick_migration router =
   in
   (vshard, dest 0)
 
-let rebalance ?(seed = 2) ?loss scale =
-  scenario ~seed ~label:"rebalance" ?loss scale
+let rebalance ?(seed = 1) ?loss scale =
+  scenario ~seed ~base:2 ~label:"rebalance" ?loss scale
     ~mk_events:(fun s ~t1 ~duration_ns ->
       let vshard, to_ = pick_migration s.router in
       let at = t1 +. (0.30 *. duration_ns) in
@@ -313,7 +322,7 @@ let chaos_cell ?(seed = 1) ?(loss = 0.01) ?(partition = P_asym)
     ?(hedge = true) ?rate ?fail_slow scale =
   let n = 5 in
   let policy = { Router.defensive with hedge; route_around = hedge } in
-  let s = build scale ~n ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed () in
+  let s = build ~seed scale ~n ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed () in
   let reqgen =
     Loadgen.mixed_reqgen ~n_keys:s.n_keys ~get_frac:0.9
       ~vlen:scale.Stores.vlen
@@ -441,7 +450,7 @@ let chaos_sweep ?(seed = 1) scale =
    compares OK-get p99 inside the window. *)
 let fail_slow_pair ?(seed = 1) ?(factor = 10.0) scale =
   (* pin the rate: one cheap probe on a throwaway cluster *)
-  let s = build scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~rseed:seed () in
+  let s = build ~seed scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~rseed:seed () in
   let reqgen =
     Loadgen.mixed_reqgen ~n_keys:s.n_keys ~get_frac:0.9
       ~vlen:scale.Stores.vlen
@@ -466,12 +475,15 @@ let fail_slow_pair ?(seed = 1) ?(factor = 10.0) scale =
    with none — the deadline/hedge/detector machinery must cost nearly
    nothing when the network is clean.  Returns (default mops, defensive
    mops). *)
-let overhead_pair ?(seed = 7) scale =
+let overhead_pair ?(seed = 1) scale =
+  let s_seed = 7 + seed - 1 in
   let run_one policy netem =
-    let s = build scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:seed () in
+    let s =
+      build ~seed scale ~n:5 ~replicas:2 ~wq:2 ~rq:1 ~policy ~rseed:s_seed ()
+    in
     Router.set_netem s.router netem;
     let closed =
-      Loadgen.closed_loop ~seed ~conns:16
+      Loadgen.closed_loop ~seed:s_seed ~conns:16
         ~reqs_per_conn:(max 64 (scale.Stores.sweep_ops / 64))
         ~reqgen:
           (Loadgen.mixed_reqgen ~n_keys:s.n_keys ~get_frac:0.9
@@ -489,6 +501,6 @@ let overhead_pair ?(seed = 7) scale =
   in
   let base = run_one Router.default_policy None in
   let defended =
-    run_one Router.defensive (Some (Netem.create ~seed ()))
+    run_one Router.defensive (Some (Netem.create ~seed:s_seed ()))
   in
   (base, defended)

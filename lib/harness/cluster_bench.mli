@@ -1,8 +1,12 @@
 (** Shared plumbing for the cluster experiment family: build and preload
     an N-node cluster, then run the three reported scenarios — scaling
     curve, node kill + rejoin, live shard migration — each ending in the
-    oracle divergence audit.  Used by both the [cluster] experiment and
-    [ckv cluster], so tables and benchmark JSON come from identical
+    oracle divergence audit, plus the chaos cells.  Used by the [cluster]
+    and [chaos] experiments.
+
+    Every [?seed] here is an experiment seed (default 1): each seed an
+    entry point uses, node store configs included, is [base + seed - 1]
+    for a fixed per-use [base], so seed 1 reproduces the historical
     runs. *)
 
 type setup = {
@@ -13,11 +17,12 @@ type setup = {
 }
 
 val build :
-  Stores.scale -> n:int -> replicas:int -> wq:int -> rq:int ->
+  ?seed:int -> Stores.scale -> n:int -> replicas:int -> wq:int -> rq:int ->
   ?vshards:int -> ?n_keys:int ->
   ?policy:Cluster.Router.policy -> ?rseed:int -> unit -> setup
-(** [policy] defaults to {!Cluster.Router.default_policy}; [rseed] seeds
-    the router's backoff jitter. *)
+(** [seed] seeds the node stores' configs ({!Stores.chameleon_cfg});
+    [policy] defaults to {!Cluster.Router.default_policy}; [rseed]
+    (default [seed - 1]) seeds the router's backoff jitter. *)
 
 type scaling_point = {
   sp_nodes : int;

@@ -8,9 +8,32 @@ module Table = Metrics.Table_fmt
 module Histogram = Metrics.Histogram
 module Config = Chameleondb.Config
 
-type exp = { id : string; title : string; run : Stores.scale -> unit }
+type exp = {
+  id : string;
+  title : string;
+  run : ?seed:int -> Stores.scale -> string list;
+}
 
 let pr fmt = Format.printf fmt
+
+(* An experiment's enforced acceptance checks: print one verdict line per
+   (description, passed) pair, then a blank line, and return the
+   descriptions of the checks that failed. *)
+let checks cs =
+  let failed =
+    List.filter_map
+      (fun (what, ok) ->
+        pr "Check %s: %s@." (if ok then "passed" else "FAILED") what;
+        if ok then None else Some what)
+      cs
+  in
+  pr "@.";
+  failed
+
+let rec firstn n = function
+  | [] -> []
+  | _ when n <= 0 -> []
+  | x :: tl -> x :: firstn (n - 1) tl
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: raw random-write throughput vs access size and threads.   *)
@@ -1455,12 +1478,12 @@ let batch_reqgen ~n_keys ~vlen ~batch =
     if batch <= 1 then put ()
     else Service.Proto.Batch (List.init batch (fun _ -> put ()))
 
-let batch_exp scale =
+let batch_exp ?(seed = 1) scale =
   let workers = 8 in
   let vlen = scale.Stores.vlen in
   let n_keys = scale.Stores.load_keys in
   let mk () =
-    let store = (Stores.find scale "Hybrid-Viper").Stores.make () in
+    let store = (Stores.find ~seed scale "Hybrid-Viper").Stores.make () in
     let load =
       Stores.load_unique ~store ~threads:workers ~start_at:0.0 ~n:n_keys ~vlen
     in
@@ -1473,7 +1496,7 @@ let batch_exp scale =
   let probe =
     Service.Server.run ~store:pstore ~workers ~start_at:pt0
       ~closed:
-        (Service.Loadgen.closed_loop ~conns
+        (Service.Loadgen.closed_loop ~seed:(42 + seed - 1) ~conns
            ~reqs_per_conn:(max 64 (scale.Stores.sweep_ops / conns / 4))
            ~reqgen:(batch_reqgen ~n_keys ~vlen ~batch:1) ())
       ()
@@ -1490,7 +1513,7 @@ let batch_exp scale =
     let frame_rate = rate /. float_of_int (max 1 batch) in
     let duration_ns = float_of_int ops_target /. rate *. 1000.0 in
     let arrivals =
-      Service.Loadgen.open_loop ~seed:31 ~conns:8
+      Service.Loadgen.open_loop ~seed:(31 + seed - 1) ~conns:8
         ~process:(Service.Loadgen.Poisson { rate_mops = frame_rate })
         ~reqgen:(batch_reqgen ~n_keys ~vlen ~batch)
         ~duration_ns ~start_at:t0 ()
@@ -1590,7 +1613,7 @@ let batch_exp scale =
             ~vlen
         in
         (spec.Stores.name, Stores.sustained_mops ~store r))
-      (Stores.all scale)
+      (Stores.all ~seed scale)
   in
   let base =
     Option.value ~default:1.0 (List.assoc_opt "ChameleonDB" writes)
@@ -1611,7 +1634,7 @@ let batch_exp scale =
           ("restart", Table.Right); ("vs ChameleonDB", Table.Right) ]
   in
   let restart name =
-    let spec = Stores.find scale name in
+    let spec = Stores.find ~seed scale name in
     let store = spec.Stores.make () in
     let load =
       Stores.load_unique ~store ~threads:workers ~start_at:0.0 ~n:n_keys ~vlen
@@ -1623,9 +1646,8 @@ let batch_exp scale =
     Clock.now c -. t0
   in
   let cham_rt = restart "ChameleonDB" in
-  let restarts =
-    ("ChameleonDB", cham_rt) :: [ ("Hybrid-Viper", restart "Hybrid-Viper") ]
-  in
+  let viper_rt = restart "Hybrid-Viper" in
+  let restarts = [ ("ChameleonDB", cham_rt); ("Hybrid-Viper", viper_rt) ] in
   List.iter
     (fun (name, rt) ->
       Table.add_row rtbl
@@ -1645,7 +1667,21 @@ let batch_exp scale =
      server@.";
   pr "linger buys the same amortization without client cooperation, and \
      the@.";
-  pr "hybrid pays for its DRAM index with a full-log-replay restart.@.@."
+  pr "hybrid pays for its DRAM index with a full-log-replay restart.@.";
+  checks
+    [ ( Printf.sprintf "monotone to the batch-16 knee (%.2f <= %.2f <= %.2f \
+                        Mops/s)" (m 1) (m 4) (m 16),
+        m 4 >= m 1 && m 16 >= m 4 );
+      ( Printf.sprintf "batch 16 >= 1.5x batch 1 (x%.2f)"
+          (m 16 /. Float.max 0.001 (m 1)),
+        m 16 >= 1.5 *. m 1 );
+      ( Printf.sprintf "batch 64 >= 0.9x batch 16 (x%.2f)"
+          (m 64 /. Float.max 0.001 (m 16)),
+        m 64 >= 0.9 *. m 16 );
+      ( Printf.sprintf "restart gap not inverted (Hybrid-Viper %s > \
+                        ChameleonDB %s)"
+          (Table.cell_ns viper_rt) (Table.cell_ns cham_rt),
+        viper_rt > cham_rt ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: DRAM read cache — zipfian theta x capacity sweep.        *)
@@ -1930,10 +1966,34 @@ let cluster_timeline sc =
     r.Cluster.Run.r_windows;
   Table.print tbl
 
-let cluster scale =
+(* The audit checks every failover and rebalance run must pass. *)
+let scenario_checks ~tag fo rb =
+  let misrouted sc =
+    Cluster.Router.misrouted sc.Cluster_bench.sc_setup.Cluster_bench.router
+  in
+  let redirects =
+    Cluster.Router.redirects rb.Cluster_bench.sc_setup.Cluster_bench.router
+  in
+  let mismatches sc = List.length sc.Cluster_bench.sc_mismatches in
+  [ ( Printf.sprintf "%s: zero divergence mismatches (failover %d, \
+                      rebalance %d)" tag (mismatches fo) (mismatches rb),
+      mismatches fo = 0 && mismatches rb = 0 );
+    ( Printf.sprintf "%s: zero misroutes (failover %d, rebalance %d)" tag
+        (misrouted fo) (misrouted rb),
+      misrouted fo = 0 && misrouted rb = 0 );
+    ( Printf.sprintf "%s: >= 1 redirect during migration (%d)" tag redirects,
+      redirects >= 1 );
+    ( Printf.sprintf "%s: rejoin catch-up completed" tag,
+      fo.Cluster_bench.sc_result.Cluster.Run.r_catchups <> [] );
+    ( Printf.sprintf "%s: migration cleaned" tag,
+      match rb.Cluster_bench.sc_result.Cluster.Run.r_migrations with
+      | [ m ] -> Cluster.Migration.phase m = Cluster.Migration.Cleaned
+      | _ -> false ) ]
+
+let cluster ?(seed = 1) scale =
   (* scaling curve: fresh cluster per node count, closed-loop 90/10 *)
   let counts = [ 1; 2; 4; 8 ] in
-  let points = Cluster_bench.scaling scale counts in
+  let points = Cluster_bench.scaling ~seed scale counts in
   let tbl =
     Table.create
       ~title:
@@ -1959,7 +2019,7 @@ let cluster scale =
     points;
   Table.print tbl;
   (* node kill + rejoin under open-loop load *)
-  let fo = Cluster_bench.failover ~seed:1 scale in
+  let fo = Cluster_bench.failover ~seed scale in
   let r = fo.Cluster_bench.sc_result in
   pr
     "Failover: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; kill \
@@ -1990,7 +2050,7 @@ let cluster scale =
     (if fo.Cluster_bench.sc_mismatches = [] then "no acked write lost"
      else "ACKED WRITES LOST");
   (* live shard migration under open-loop load *)
-  let rb = Cluster_bench.rebalance ~seed:2 scale in
+  let rb = Cluster_bench.rebalance ~seed scale in
   let router = rb.Cluster_bench.sc_setup.Cluster_bench.router in
   pr
     "Rebalance: 4 nodes, capacity %.2f Mops/s, offered %.2f Mops/s; %s.@."
@@ -2019,22 +2079,54 @@ let cluster scale =
     "Shape check: throughput scales with node count; p99 spikes at the@.";
   pr
     "kill and heals after catch-up; migration costs one redirect and@.";
-  pr "zero misroutes; both audits end with zero mismatches.@.@."
+  pr "zero misroutes; both audits end with zero mismatches.@.@.";
+  (* the same two scenarios under 1% i.i.d. frame loss *)
+  let loss = 0.01 in
+  let lfo = Cluster_bench.failover ~seed ~loss scale in
+  let lrb = Cluster_bench.rebalance ~seed ~loss scale in
+  let ltbl =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "cluster: failover and rebalance under %g%% frame loss (defensive \
+            policy, partition-aware audit)"
+           (100.0 *. loss))
+      ~columns:
+        [ ("scenario", Table.Left); ("ops", Table.Right);
+          ("offered", Table.Right); ("errs", Table.Right);
+          ("redirects", Table.Right); ("misrouted", Table.Right);
+          ("checked", Table.Right); ("residue", Table.Right);
+          ("mismatches", Table.Right) ]
+  in
+  List.iter
+    (fun sc ->
+      let router = sc.Cluster_bench.sc_setup.Cluster_bench.router in
+      let r = sc.Cluster_bench.sc_result in
+      Table.add_row ltbl
+        [ sc.Cluster_bench.sc_label;
+          string_of_int r.Cluster.Run.r_ops;
+          Table.cell_f sc.Cluster_bench.sc_rate_mops;
+          string_of_int r.Cluster.Run.r_errs;
+          string_of_int (Cluster.Router.redirects router);
+          string_of_int (Cluster.Router.misrouted router);
+          string_of_int sc.Cluster_bench.sc_checked;
+          string_of_int sc.Cluster_bench.sc_residue;
+          string_of_int (List.length sc.Cluster_bench.sc_mismatches) ])
+    [ lfo; lrb ];
+  Table.print ltbl;
+  checks
+    (scenario_checks ~tag:"clean network" fo rb
+    @ scenario_checks ~tag:(Printf.sprintf "%g%% loss" (100.0 *. loss)) lfo lrb)
 
 (* ------------------------------------------------------------------ *)
 (* Extension: network chaos — message-level fault injection, the       *)
 (* defensive RPC policy, and the partition-aware consistency audit.    *)
 (* ------------------------------------------------------------------ *)
 
-let chaos scale =
+let chaos ?(seed = 1) scale =
   let open Cluster_bench in
-  let rec firstn n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: firstn (n - 1) tl
-  in
   (* loss x partition x hedge grid *)
-  let cells = chaos_sweep ~seed:1 scale in
+  let cells = chaos_sweep ~seed scale in
   let tbl =
     Table.create
       ~title:
@@ -2073,7 +2165,7 @@ let chaos scale =
         (firstn 5 c.cc_violations))
     cells;
   (* fail-slow: hedging + detector vs neither, same offered rate *)
-  let slow_off, slow_on = fail_slow_pair ~seed:1 ~factor:10.0 scale in
+  let slow_off, slow_on = fail_slow_pair ~seed ~factor:10.0 scale in
   let ratio =
     if slow_on.cc_event_get_p99 > 0.0 then
       slow_off.cc_event_get_p99 /. slow_on.cc_event_get_p99
@@ -2090,12 +2182,12 @@ let chaos scale =
     ratio slow_on.cc_hedges slow_on.cc_hedge_wins slow_on.cc_suspicions
     slow_on.cc_routed_around;
   (* zero-fault overhead of the defensive machinery *)
-  let base, defended = overhead_pair ~seed:7 scale in
+  let base, defended = overhead_pair ~seed scale in
+  let overhead = 1.0 -. (defended /. Float.max base 1e-9) in
   pr
     "Zero-fault overhead: %.2f Mops/s default policy vs %.2f Mops/s \
      defensive + empty injector (%.1f%%).@."
-    base defended
-    (100.0 *. (1.0 -. (defended /. Float.max base 1e-9)));
+    base defended (100.0 *. overhead);
   pr "@.";
   pr
     "Shape check: every cell's audit is clean (no acked write lost, no@.";
@@ -2103,7 +2195,18 @@ let chaos scale =
     "stale or phantom read); retries and dedup absorb loss; hedging@.";
   pr
     "cuts the fail-slow event p99 by >= 2x; the defensive machinery@.";
-  pr "costs < 5%% on a clean network.@.@."
+  pr "costs < 5%% on a clean network.@.";
+  let dirty = List.filter (fun c -> not (cell_clean c)) cells in
+  checks
+    [ ( Printf.sprintf "every grid cell audit-clean (%d of %d dirty)"
+          (List.length dirty) (List.length cells),
+        dirty = [] );
+      ( "fail-slow pair audit-clean",
+        cell_clean slow_off && cell_clean slow_on );
+      (Printf.sprintf "hedging cuts the fail-slow event p99 >= 2x (%.2fx)" ratio,
+       ratio >= 2.0);
+      ( Printf.sprintf "zero-fault overhead <= 5%% (%.1f%%)" (100.0 *. overhead),
+        overhead <= 0.05 ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: ordered range scans — throughput vs scan length plus a   *)
@@ -2111,11 +2214,6 @@ let chaos scale =
 (* ------------------------------------------------------------------ *)
 
 let scan_lengths = [ 10; 50; 100; 250; 500 ]
-
-let rec firstn n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: firstn (n - 1) tl
 
 (* Drive one ChameleonDB instance through every structural transition and
    compare [Store.scan] against a DRAM set oracle after each one.  Returns
@@ -2188,7 +2286,8 @@ let scan_audit ~seed scale =
   audit "crash+recover";
   (!checks, !mismatches)
 
-let scan_exp scale =
+(* The audit runs its own fixed seeds, so the experiment seed is unused. *)
+let scan_exp ?seed:_ scale =
   let specs =
     List.map (Stores.find scale)
       [ "ChameleonDB"; "Pmem-LSM-PinK"; "Pmem-LSM-NF"; "Pmem-LSM-F" ]
@@ -2239,23 +2338,30 @@ let scan_exp scale =
   Table.print tbl;
   pr "Scan audit: DRAM set oracle vs Store.scan after every structural@.";
   pr "transition (memtable, flush, ABI dump, merge, deletes, GC, crash).@.";
-  List.iter
-    (fun seed ->
-      let checks, mismatches = scan_audit ~seed scale in
-      pr "  seed %3d: %d ordered-scan checks, %d mismatches%s@." seed checks
-        mismatches
-        (if mismatches = 0 then "" else "  << ORDER VIOLATION"))
-    [ 1; 11; 101 ];
+  let mismatches =
+    List.fold_left
+      (fun acc seed ->
+        let n, mismatches = scan_audit ~seed scale in
+        pr "  seed %3d: %d ordered-scan checks, %d mismatches%s@." seed n
+          mismatches
+          (if mismatches = 0 then "" else "  << ORDER VIOLATION");
+        acc + mismatches)
+      0 [ 1; 11; 101 ]
+  in
   pr "Shape check: per-scan cost grows sublinearly with length (seek@.";
   pr "dominates short scans); ChameleonDB tracks Pmem-LSM within a small@.";
   pr "factor since both serve scans from sorted runs; audit shows 0@.";
-  pr "mismatches at every seed.@.@."
+  pr "mismatches at every seed.@.";
+  checks
+    [ ( Printf.sprintf "zero scan-audit mismatches at seeds 1, 11, 101 (%d)"
+          mismatches,
+        mismatches = 0 ) ]
 
 (* ------------------------------------------------------------------ *)
 (* mph: perfect-hash last level — one Pmem read per get.               *)
 (* ------------------------------------------------------------------ *)
 
-let mph_exp scale =
+let mph_exp ?(seed = 1) scale =
   let universe = scale.Stores.load_keys in
   let names = [ "ChameleonDB"; "ChameleonDB-MPH"; "Pmem-LSM-F" ] in
   let tbl =
@@ -2270,9 +2376,11 @@ let mph_exp scale =
   in
   Obs.Attribution.enable ();
   let built = ref [] and attr = ref [] in
-  List.iter
+  (* per store: MPH builds during the load, and the hit-mix sweep *)
+  let results =
+    List.map
     (fun name ->
-      let spec = Stores.find scale name in
+      let spec = Stores.find ~seed scale name in
       let store = spec.Stores.make () in
       Obs.Attribution.reset ();
       let cb = Obs.Counters.snapshot () in
@@ -2320,16 +2428,20 @@ let mph_exp scale =
             Table.cell_f dram_per_key ];
         r
       in
-      let hit = sweep "hit" (Stores.uniform_get_gen ~seed:9 ~universe) in
-      let rng = Workload.Rng.create ~seed:10 in
+      let hit =
+        sweep "hit" (Stores.uniform_get_gen ~seed:(9 + seed - 1) ~universe)
+      in
+      let rng = Workload.Rng.create ~seed:(10 + seed - 1) in
       let _miss =
         sweep "miss" (fun () ->
             Types.Get
               (Workload.Keyspace.key_of_index
                  (universe + Workload.Rng.int rng universe)))
       in
-      attr := !attr @ [ Runner.attribution_table ~name hit ])
-    names;
+      attr := !attr @ [ Runner.attribution_table ~name hit ];
+      (name, (c "mph.builds", hit)))
+    names
+  in
   Obs.Attribution.disable ();
   Table.print tbl;
   List.iter (fun line -> pr "%s@." line) !built;
@@ -2339,57 +2451,84 @@ let mph_exp scale =
   pr "device read (reads/get ~2 = slot + log, vs fence-probe chains), needs@.";
   pr "no Bloom checks at any level, and keeps only the 4 B/bucket@.";
   pr "displacement array in DRAM; misses stay safe — the probed slot's key@.";
-  pr "mismatch answers Absent, never a wrong value.@.@."
+  pr "mismatch answers Absent, never a wrong value.@.";
+  let builds, mph = List.assoc "ChameleonDB-MPH" results in
+  let _, base = List.assoc "ChameleonDB" results in
+  let p99 r = Histogram.percentile r.Runner.get_latency 99.0 in
+  let reads_per_get =
+    float_of_int mph.Runner.device_delta.Stats.read_ops
+    /. float_of_int mph.Runner.ops
+  in
+  checks
+    [ (Printf.sprintf "MPH builds during the load (%.0f)" builds, builds > 0.0);
+      ( Printf.sprintf "MPH hit p99 %s <= ChameleonDB hit p99 %s"
+          (Table.cell_ns (p99 mph)) (Table.cell_ns (p99 base)),
+        p99 mph <= p99 base );
+      ( Printf.sprintf "MPH hit reads/get < 4 (%.2f)" reads_per_get,
+        reads_per_get < 4.0 ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Registry.                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* An experiment that takes no seed and enforces no checks. *)
+let fixed run ?seed:_ scale =
+  run scale;
+  []
+
 let all =
-  [ { id = "tab1"; title = "Table 1: configuration"; run = tab1 };
-    { id = "tab5"; title = "Table 5: YCSB workload definitions"; run = tab5 };
+  [ { id = "tab1"; title = "Table 1: configuration"; run = fixed tab1 };
+    { id = "tab5"; title = "Table 5: YCSB workload definitions";
+      run = fixed tab5 };
     { id = "fig1"; title = "Fig 1: raw write throughput vs access size";
-      run = fig1 };
+      run = fixed fig1 };
     { id = "fig2"; title = "Fig 2: multi-level read latency by device";
-      run = fig2 };
-    { id = "fig10"; title = "Fig 10: put throughput vs threads"; run = fig10 };
+      run = fixed fig2 };
+    { id = "fig10"; title = "Fig 10: put throughput vs threads";
+      run = fixed fig10 };
     { id = "fig11"; title = "Fig 11 + Table 2: put latency CDF and tails";
-      run = fig11 };
-    { id = "fig12"; title = "Fig 12: get throughput vs threads"; run = fig12 };
+      run = fixed fig11 };
+    { id = "fig12"; title = "Fig 12: get throughput vs threads";
+      run = fixed fig12 };
     { id = "fig13"; title = "Fig 13 + Table 3: get latency CDF and tails";
-      run = fig13 };
-    { id = "tab4"; title = "Table 4: overall comparison"; run = tab4 };
+      run = fixed fig13 };
+    { id = "tab4"; title = "Table 4: overall comparison"; run = fixed tab4 };
     { id = "fig3"; title = "Fig 3: normalized four-measure comparison";
-      run = fig3 };
-    { id = "fig14"; title = "Fig 14: YCSB workloads"; run = fig14 };
-    { id = "fig15"; title = "Fig 15: Direct Compaction and WIM"; run = fig15 };
+      run = fixed fig3 };
+    { id = "fig14"; title = "Fig 14: YCSB workloads"; run = fixed fig14 };
+    { id = "fig15"; title = "Fig 15: Direct Compaction and WIM";
+      run = fixed fig15 };
     { id = "fig16"; title = "Fig 16: put bursts and Get-Protect Mode";
-      run = fig16 };
-    { id = "fig17"; title = "Fig 17: vs NoveLSM and MatrixKV"; run = fig17 };
-    { id = "wa"; title = "Write-amplification formula check"; run = wa_check };
-    { id = "abl-abi"; title = "Ablation: ABI disabled"; run = abl_abi };
+      run = fixed fig16 };
+    { id = "fig17"; title = "Fig 17: vs NoveLSM and MatrixKV";
+      run = fixed fig17 };
+    { id = "wa"; title = "Write-amplification formula check";
+      run = fixed wa_check };
+    { id = "abl-abi"; title = "Ablation: ABI disabled"; run = fixed abl_abi };
     { id = "abl-shards"; title = "Ablation: randomized load factors";
-      run = abl_shards };
+      run = fixed abl_shards };
     { id = "abl-bloom"; title = "Ablation: Bloom bits-per-key sweep";
-      run = abl_bloom };
+      run = fixed abl_bloom };
     { id = "abl-gc"; title = "Extension: value-log garbage collection";
-      run = abl_gc };
-    { id = "abl-ratio"; title = "Ablation: between-level ratio"; run = abl_ratio };
-    { id = "abl-batch"; title = "Ablation: log batch size"; run = abl_batch };
+      run = fixed abl_gc };
+    { id = "abl-ratio"; title = "Ablation: between-level ratio";
+      run = fixed abl_ratio };
+    { id = "abl-batch"; title = "Ablation: log batch size";
+      run = fixed abl_batch };
     { id = "abl-device"; title = "Ablation: design fit across devices";
-      run = abl_device };
+      run = fixed abl_device };
     { id = "service";
       title = "Service: open-loop bursts through the serving layer";
-      run = service };
+      run = fixed service };
     { id = "batch";
       title = "Extension: end-to-end write batching and group commit";
       run = batch_exp };
     { id = "cache";
       title = "Extension: DRAM read cache sweep (zipfian theta x size)";
-      run = cache_sweep };
+      run = fixed cache_sweep };
     { id = "integrity";
       title = "Extension: media-fault rate x scrub budget sweep";
-      run = integrity };
+      run = fixed integrity };
     { id = "cluster";
       title = "Extension: cluster scaling, failover and live migration";
       run = cluster };
@@ -2407,16 +2546,17 @@ let all =
 
 let ids () = List.map (fun e -> e.id) all
 
-let run_ids ~scale requested =
+let run_ids ?seed ~scale requested =
   List.iter
     (fun id ->
       if not (List.exists (fun e -> e.id = id) all) then
         invalid_arg ("unknown experiment id: " ^ id))
     requested;
-  List.iter
+  List.concat_map
     (fun e ->
       if requested = [] || List.mem e.id requested then begin
         pr "@.### %s — %s ###@.@." e.id e.title;
-        e.run scale
-      end)
+        List.map (fun what -> e.id ^ ": " ^ what) (e.run ?seed scale)
+      end
+      else [])
     all

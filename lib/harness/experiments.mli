@@ -7,13 +7,19 @@
 type exp = {
   id : string;          (** e.g. "fig10" *)
   title : string;
-  run : Stores.scale -> unit;
+  run : ?seed:int -> Stores.scale -> string list;
+      (** Print the experiment's tables and return the descriptions of its
+          enforced checks that failed.  [seed] (default 1) reseeds mph,
+          batch, cluster and chaos: every seed they use, store configs
+          included, becomes [base + seed - 1], so seed 1 reproduces the
+          recorded results.  The other experiments ignore it. *)
 }
 
 val all : exp list
 
 val ids : unit -> string list
 
-val run_ids : scale:Stores.scale -> string list -> unit
-(** Run the experiments with the given ids in registry order; raises
-    [Invalid_argument] on an unknown id. *)
+val run_ids : ?seed:int -> scale:Stores.scale -> string list -> string list
+(** Run the experiments with the given ids (all when empty) in registry
+    order and return their failed checks, each prefixed with its
+    experiment id; raises [Invalid_argument] on an unknown id. *)

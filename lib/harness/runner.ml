@@ -36,7 +36,12 @@ let min_clock_thread clocks alive =
     clocks;
   !best
 
-let run ?seed ~store ~threads ~start_at ~gen () =
+(* The discrete-event loop behind [run] and [run_write_batches].  At every
+   step the min-clock thread calls [step ~thread clock record], which
+   issues that thread's next unit of work, reports each completed op's
+   latency to [record], and returns [false] once the thread has nothing
+   left to issue. *)
+let drive ?seed ~store ~threads ~start_at step =
   let dev = Store_intf.device store in
   let before = Stats.copy (Device.stats dev) in
   let attr_before = Obs.Attribution.snapshot () in
@@ -50,26 +55,23 @@ let run ?seed ~store ~threads ~start_at ~gen () =
   let put_latency = Histogram.create () in
   let scan_latency = Histogram.create () in
   let ops = ref 0 in
+  let record kind lat =
+    Histogram.record latency lat;
+    Histogram.record
+      (match kind with
+      | `Get -> get_latency
+      | `Scan -> scan_latency
+      | `Put -> put_latency)
+      lat;
+    incr ops
+  in
   let nalive = ref threads in
   while !nalive > 0 do
     let i = min_clock_thread clocks alive in
-    let clock = clocks.(i) in
-    match gen ~thread:i ~now:(Clock.now clock) with
-    | None ->
+    if not (step ~thread:i clocks.(i) record) then begin
       alive.(i) <- false;
       decr nalive
-    | Some op ->
-      if Obs.Trace.enabled () then Obs.Trace.set_tid i;
-      let t0 = Clock.now clock in
-      Store_intf.apply store clock op;
-      let lat = Clock.now clock -. t0 in
-      Histogram.record latency lat;
-      (match op with
-      | Types.Get _ -> Histogram.record get_latency lat
-      | Types.Scan _ -> Histogram.record scan_latency lat
-      | Types.Put _ | Types.Delete _ | Types.Read_modify_write _ ->
-        Histogram.record put_latency lat);
-      incr ops
+    end
   done;
   Device.set_active_threads dev prev_threads;
   let end_ns =
@@ -91,6 +93,22 @@ let run ?seed ~store ~threads ~start_at ~gen () =
       Obs.Counters.diff_snapshots ~after:(Obs.Counters.snapshot ())
         ~before:counters_before }
 
+let run ?seed ~store ~threads ~start_at ~gen () =
+  drive ?seed ~store ~threads ~start_at (fun ~thread clock record ->
+      match gen ~thread ~now:(Clock.now clock) with
+      | None -> false
+      | Some op ->
+        if Obs.Trace.enabled () then Obs.Trace.set_tid thread;
+        let t0 = Clock.now clock in
+        Store_intf.apply store clock op;
+        record
+          (match op with
+          | Types.Get _ -> `Get
+          | Types.Scan _ -> `Scan
+          | Types.Put _ | Types.Delete _ | Types.Read_modify_write _ -> `Put)
+          (Clock.now clock -. t0);
+        true)
+
 let run_ops ?seed ~store ~threads ~start_at ~ops ~next () =
   let remaining = ref ops in
   let gen ~thread:_ ~now:_ =
@@ -102,66 +120,28 @@ let run_ops ?seed ~store ~threads ~start_at ~ops ~next () =
   in
   run ?seed ~store ~threads ~start_at ~gen ()
 
-(* Bulk writer: the same discrete-event skeleton as [run], but each
-   thread step commits one [write_batch] group of up to [group] puts.
-   Per-op latency is the group's commit latency amortized over its
-   members, so histograms stay per-op comparable with [run_ops]. *)
+(* Bulk writer: each thread step commits one [write_batch] group of up to
+   [group] puts.  Per-op latency is the group's commit latency amortized
+   over its members, so histograms stay per-op comparable with
+   [run_ops]. *)
 let run_write_batches ?seed ~store ~threads ~start_at ~ops ~group ~next () =
   if group <= 0 then invalid_arg "Runner.run_write_batches: group <= 0";
-  let dev = Store_intf.device store in
-  let before = Stats.copy (Device.stats dev) in
-  let attr_before = Obs.Attribution.snapshot () in
-  let counters_before = Obs.Counters.snapshot () in
-  let prev_threads = Device.active_threads dev in
-  Device.set_active_threads dev threads;
-  let clocks = Array.init threads (fun _ -> Clock.create ~at:start_at ()) in
-  let alive = Array.make threads true in
-  let latency = Histogram.create () in
-  let put_latency = Histogram.create () in
-  let done_ops = ref 0 in
   let remaining = ref ops in
-  let nalive = ref threads in
-  while !nalive > 0 do
-    let i = min_clock_thread clocks alive in
-    let clock = clocks.(i) in
-    if !remaining <= 0 then begin
-      alive.(i) <- false;
-      decr nalive
-    end
-    else begin
-      let n = min group !remaining in
-      remaining := !remaining - n;
-      let items = List.init n (fun _ -> next ()) in
-      if Obs.Trace.enabled () then Obs.Trace.set_tid i;
-      let t0 = Clock.now clock in
-      Store_intf.write_batch store clock items;
-      let per_op = (Clock.now clock -. t0) /. float_of_int n in
-      for _ = 1 to n do
-        Histogram.record latency per_op;
-        Histogram.record put_latency per_op
-      done;
-      done_ops := !done_ops + n
-    end
-  done;
-  Device.set_active_threads dev prev_threads;
-  let end_ns =
-    Array.fold_left (fun acc c -> Float.max acc (Clock.now c)) start_at clocks
-  in
-  { ops = !done_ops;
-    seed;
-    start_ns = start_at;
-    end_ns;
-    latency;
-    get_latency = Histogram.create ();
-    put_latency;
-    scan_latency = Histogram.create ();
-    device_delta = Stats.diff ~after:(Device.stats dev) ~before;
-    attribution =
-      Obs.Attribution.diff ~after:(Obs.Attribution.snapshot ())
-        ~before:attr_before;
-    counters =
-      Obs.Counters.diff_snapshots ~after:(Obs.Counters.snapshot ())
-        ~before:counters_before }
+  drive ?seed ~store ~threads ~start_at (fun ~thread clock record ->
+      !remaining > 0
+      && begin
+        let n = min group !remaining in
+        remaining := !remaining - n;
+        let items = List.init n (fun _ -> next ()) in
+        if Obs.Trace.enabled () then Obs.Trace.set_tid thread;
+        let t0 = Clock.now clock in
+        Store_intf.write_batch store clock items;
+        let per_op = (Clock.now clock -. t0) /. float_of_int n in
+        for _ = 1 to n do
+          record `Put per_op
+        done;
+        true
+      end)
 
 (* Per-stage latency attribution table.  For each op kind the instrumented
    stage means must reconcile with the measured end-to-end mean; whatever

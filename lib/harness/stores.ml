@@ -31,29 +31,30 @@ let quick =
     threads = [ 1; 4; 16 ];
     vlen = 8 }
 
-let chameleon_cfg scale =
+let chameleon_cfg ?(seed = 1) scale =
   { Config.default with
     Config.shards = scale.shards;
-    memtable_slots = scale.memtable_slots }
+    memtable_slots = scale.memtable_slots;
+    seed = Config.default.Config.seed + seed - 1 }
 
 type spec = { name : string; make : unit -> Store_intf.store }
 
-let chameleon ?(f = fun cfg -> cfg) ?(name = "ChameleonDB") scale =
+let chameleon ?(f = fun cfg -> cfg) ?(name = "ChameleonDB") ?seed scale =
   { name;
     make =
       (fun () -> Chameleondb.Store.store ~name
-          (Chameleondb.Store.create ~cfg:(f (chameleon_cfg scale)) ())) }
+          (Chameleondb.Store.create ~cfg:(f (chameleon_cfg ?seed scale)) ())) }
 
-let chameleon_mph ?(cache_bytes = 0) scale =
+let chameleon_mph ?(cache_bytes = 0) ?seed scale =
   chameleon ~name:"ChameleonDB-MPH"
     ~f:(fun cfg ->
       { cfg with Config.index_kind = Config.Mph; cache_bytes })
-    scale
+    ?seed scale
 
-let all ?(cache_bytes = 0) scale =
-  let cfg = chameleon_cfg scale in
-  [ chameleon ~f:(fun cfg -> { cfg with Config.cache_bytes }) scale;
-    chameleon_mph ~cache_bytes scale;
+let all ?(cache_bytes = 0) ?seed scale =
+  let cfg = chameleon_cfg ?seed scale in
+  [ chameleon ~f:(fun cfg -> { cfg with Config.cache_bytes }) ?seed scale;
+    chameleon_mph ~cache_bytes ?seed scale;
     { name = "Pmem-LSM-PinK";
       make =
         (fun () -> Baselines.Pmem_lsm.store
@@ -78,8 +79,10 @@ let all ?(cache_bytes = 0) scale =
           Baselines.Hybrid_viper.store (Baselines.Hybrid_viper.create ())) }
   ]
 
-let find ?cache_bytes scale name =
-  match List.find_opt (fun s -> s.name = name) (all ?cache_bytes scale) with
+let find ?cache_bytes ?seed scale name =
+  match
+    List.find_opt (fun s -> s.name = name) (all ?cache_bytes ?seed scale)
+  with
   | Some s -> s
   | None -> invalid_arg ("Stores.find: unknown store " ^ name)
 

@@ -17,8 +17,10 @@ type scale = {
 val default : scale
 val quick : scale
 
-val chameleon_cfg : scale -> Chameleondb.Config.t
-(** ChameleonDB (and Pmem-LSM) configuration at this scale. *)
+val chameleon_cfg : ?seed:int -> scale -> Chameleondb.Config.t
+(** ChameleonDB (and Pmem-LSM) configuration at this scale.  [seed] is an
+    experiment seed (default 1): the config's own seed becomes
+    [Config.default.seed + seed - 1], so seed 1 keeps the default. *)
 
 type spec = {
   name : string;
@@ -26,23 +28,24 @@ type spec = {
       (** fresh store on a fresh simulated device *)
 }
 
-val all : ?cache_bytes:int -> scale -> spec list
+val all : ?cache_bytes:int -> ?seed:int -> scale -> spec list
 (** The stores of the main evaluation: ChameleonDB, ChameleonDB-MPH,
-    Pmem-LSM-PinK, Pmem-LSM-NF, Pmem-LSM-F, Pmem-Hash, Dram-Hash.
-    [cache_bytes] (default 0 = disabled) sizes the ChameleonDB variants'
-    DRAM read cache; the baselines have none, as in the paper. *)
+    Pmem-LSM-PinK, Pmem-LSM-NF, Pmem-LSM-F, Pmem-Hash, Dram-Hash,
+    Hybrid-Viper.  [cache_bytes] (default 0 = disabled) sizes the
+    ChameleonDB variants' DRAM read cache; the baselines have none, as in
+    the paper.  [seed] as in {!chameleon_cfg}. *)
 
 val chameleon :
   ?f:(Chameleondb.Config.t -> Chameleondb.Config.t) -> ?name:string ->
-  scale -> spec
+  ?seed:int -> scale -> spec
 (** ChameleonDB with a config tweak (modes, compaction scheme, ablations);
     [name] labels the variant in reports and the crash sweep. *)
 
-val chameleon_mph : ?cache_bytes:int -> scale -> spec
+val chameleon_mph : ?cache_bytes:int -> ?seed:int -> scale -> spec
 (** ChameleonDB with the perfect-hash last-level index
     ([Config.index_kind = Mph]); named "ChameleonDB-MPH". *)
 
-val find : ?cache_bytes:int -> scale -> string -> spec
+val find : ?cache_bytes:int -> ?seed:int -> scale -> string -> spec
 
 val load_group : int
 (** Group size bulk loads commit with (32). *)

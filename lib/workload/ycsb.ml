@@ -13,6 +13,10 @@ let name = function
   | E -> "YCSB_E"
   | F -> "YCSB_F"
 
+let of_string s =
+  let s = String.uppercase_ascii s in
+  List.find_opt (fun m -> name m = s || name m = "YCSB_" ^ s) all
+
 let description = function
   | Load -> "100% put"
   | A -> "50% get / 50% update"

@@ -17,6 +17,11 @@ type mix = Load | A | B | C | D | E | F
 
 val all : mix list
 val name : mix -> string
+
+val of_string : string -> mix option
+(** The mix named by its letter ([LOAD], [A] .. [F]) or by {!name},
+    case-insensitively. *)
+
 val description : mix -> string
 
 type t

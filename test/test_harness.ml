@@ -184,13 +184,54 @@ let test_experiment_registry () =
 let test_experiment_unknown_id () =
   Alcotest.(check bool) "unknown id rejected" true
     (try
-       Experiments.run_ids ~scale:tiny_scale [ "nope" ];
+       ignore (Experiments.run_ids ~scale:tiny_scale [ "nope" ]);
        false
      with Invalid_argument _ -> true)
 
 let test_experiment_smoke () =
   (* cheap experiments actually run end-to-end *)
-  Experiments.run_ids ~scale:tiny_scale [ "tab1"; "tab5" ]
+  Alcotest.(check (list string)) "no failed checks" []
+    (Experiments.run_ids ~scale:tiny_scale [ "tab1"; "tab5" ])
+
+(* Run [f] with the process's stdout sent to a temporary file; return its
+   result and everything it printed, through channels or Format. *)
+let capture_stdout f =
+  let path = Filename.temp_file "experiment" ".out" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  Format.print_flush ();
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let result =
+    Fun.protect f ~finally:(fun () ->
+        Format.print_flush ();
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+  in
+  let ic = open_in_bin path in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (result, out)
+
+let test_seeded_experiment () =
+  (* cluster is the cheapest seeded experiment whose checks hold at this
+     scale (mph builds no last level here, batch has no knee): it passes
+     at two seeds, a seed reprints the same simulated tables, and the seed
+     reaches the run *)
+  let run seed =
+    capture_stdout (fun () ->
+        Experiments.run_ids ~seed ~scale:tiny_scale [ "cluster" ])
+  in
+  let failed1, out1 = run 1 in
+  let failed11, out11 = run 11 in
+  let _, again11 = run 11 in
+  Alcotest.(check (list string)) "seed 1: no failed checks" [] failed1;
+  Alcotest.(check (list string)) "seed 11: no failed checks" [] failed11;
+  Alcotest.(check string) "seed 11 reproduces its output" out11 again11;
+  Alcotest.(check bool) "seeds 1 and 11 differ" true (out1 <> out11)
 
 let test_summary_of_result () =
   let store = (Stores.chameleon tiny_scale).Stores.make () in
@@ -231,6 +272,35 @@ let test_trace_through_runner () =
   Alcotest.(check int) "deterministic ops" ops1 ops2;
   Alcotest.(check (float 0.0)) "deterministic simulated time" ns1 ns2
 
+let test_scan_trace_roundtrip () =
+  (* a recorded YCSB-E trace survives save -> load -> replay with every op,
+     scans included *)
+  let mix = Option.get (Workload.Ycsb.of_string "E") in
+  let g = Workload.Ycsb.create ~seed:5 ~mix ~loaded:500 () in
+  let t = Workload.Trace.record ~n:400 ~gen:(fun () -> Workload.Ycsb.next g) in
+  let path = Filename.temp_file "trace-e" ".txt" in
+  let back =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Workload.Trace.save t path;
+        Workload.Trace.load path)
+  in
+  let store = (Stores.chameleon tiny_scale).Stores.make () in
+  let load =
+    Stores.load_unique ~store ~threads:2 ~start_at:0.0 ~n:500 ~vlen:8
+  in
+  let next = Workload.Trace.replayer back in
+  let r =
+    Runner.run ~store ~threads:2
+      ~start_at:(Stores.settled_cursor ~store load)
+      ~gen:(fun ~thread:_ ~now:_ -> next ())
+      ()
+  in
+  Alcotest.(check int) "all ops replayed" 400 r.Runner.ops;
+  Alcotest.(check bool) "scans replayed" true
+    (Metrics.Histogram.count r.Runner.scan_latency > 0)
+
 let test_uniform_get_gen_deterministic () =
   let a = Stores.uniform_get_gen ~seed:5 ~universe:50 in
   let b = Stores.uniform_get_gen ~seed:5 ~universe:50 in
@@ -262,6 +332,8 @@ let () =
       ( "integration",
         [ Alcotest.test_case "trace through runner" `Quick
             test_trace_through_runner;
+          Alcotest.test_case "YCSB-E trace save/load/replay" `Quick
+            test_scan_trace_roundtrip;
           Alcotest.test_case "uniform gen deterministic" `Quick
             test_uniform_get_gen_deterministic;
           Alcotest.test_case "empty generators" `Quick
@@ -278,4 +350,6 @@ let () =
         [ Alcotest.test_case "registry" `Quick test_experiment_registry;
           Alcotest.test_case "unknown id" `Quick test_experiment_unknown_id;
           Alcotest.test_case "smoke (tab1, tab5)" `Quick test_experiment_smoke;
+          Alcotest.test_case "seeded (cluster at seeds 1, 11)" `Quick
+            test_seeded_experiment;
           Alcotest.test_case "summary" `Quick test_summary_of_result ] ) ]

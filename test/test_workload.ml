@@ -264,6 +264,18 @@ let test_ycsb_names () =
         (String.length (Ycsb.description m) > 0))
     Ycsb.all
 
+let test_ycsb_of_string () =
+  List.iter
+    (fun m ->
+      (* the letter is the name without its "YCSB_" prefix: LOAD, A .. F *)
+      let name = Ycsb.name m in
+      let letter = String.sub name 5 (String.length name - 5) in
+      Alcotest.(check bool) (letter ^ " parses") true
+        (Ycsb.of_string letter = Some m);
+      Alcotest.(check bool) (letter ^ " parses in lower case") true
+        (Ycsb.of_string (String.lowercase_ascii letter) = Some m))
+    Ycsb.all;
+  Alcotest.(check bool) "unknown mix rejected" true (Ycsb.of_string "G" = None)
 
 (* ---------------------------------- Trace -------------------------------- *)
 
@@ -391,4 +403,5 @@ let () =
             test_ycsb_d_recency;
           Alcotest.test_case "keys from universe" `Quick
             test_ycsb_existing_keys_valid;
-          Alcotest.test_case "names/descriptions" `Quick test_ycsb_names ] ) ]
+          Alcotest.test_case "names/descriptions" `Quick test_ycsb_names;
+          Alcotest.test_case "of_string" `Quick test_ycsb_of_string ] ) ]
