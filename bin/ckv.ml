@@ -3,7 +3,7 @@
    ckv load  --store ChameleonDB --keys 200000 --threads 8
    ckv ycsb  --mix B --ops 50000 --store all
    ckv bench fig10 tab4 --quick
-   ckv bench mph batch cluster chaos --quick --seed 11
+   ckv bench fig12 fig13 batch cluster chaos --quick --seed 11
    ckv list *)
 
 open Cmdliner
@@ -749,9 +749,9 @@ let bench_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"N"
           ~doc:
-            "Experiment seed.  The mph, batch, cluster and chaos \
-             experiments derive every seed they use from it; 1 reproduces \
-             the recorded results.")
+            "Experiment seed.  The fig12, fig13, tab4, fig3, batch, cluster \
+             and chaos experiments derive every seed they use from it; 1 \
+             reproduces the recorded results.")
   in
   Cmd.v
     (Cmd.info "bench"

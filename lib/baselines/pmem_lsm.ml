@@ -431,9 +431,7 @@ let scan t clock ~start ~limit =
     let last =
       match Levels.last shard.lv with
       | None -> []
-      | Some tbl when Linear_table.is_sorted tbl ->
-        [ Scan.of_cursor (Linear_table.cursor tbl clock ~start) ]
-      | Some tbl -> [ run_stream tbl ]
+      | Some tbl -> [ Scan.of_cursor (Linear_table.cursor tbl clock ~start) ]
     in
     Scan.merge ((mem :: upper) @ last)
   in

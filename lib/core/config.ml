@@ -1,7 +1,5 @@
 type compaction_scheme = Direct | Level_by_level
 
-type index_kind = Probe | Mph
-
 type t = {
   shards : int;
   memtable_slots : int;
@@ -11,7 +9,6 @@ type t = {
   lf_max : float;
   abi_slots_factor : int;
   abi_load_factor : float;
-  last_level_load_factor : float;
   compaction : compaction_scheme;
   write_intensive : bool;
   gpm_enabled : bool;
@@ -24,7 +21,6 @@ type t = {
   cache_negative : bool;
   gc_max_entries : int;
   scrub_budget_bytes : int;
-  index_kind : index_kind;
   seed : int;
 }
 
@@ -37,7 +33,6 @@ let default =
     lf_max = 0.85;
     abi_slots_factor = 64;
     abi_load_factor = 0.90;
-    last_level_load_factor = 0.75;
     compaction = Direct;
     write_intensive = false;
     gpm_enabled = false;
@@ -50,7 +45,6 @@ let default =
     cache_negative = true;
     gc_max_entries = 100_000;
     scrub_budget_bytes = 1 lsl 20;
-    index_kind = Probe;
     seed = 7 }
 
 let scaled ?shards ?memtable_slots t =

@@ -10,13 +10,6 @@ type compaction_scheme =
   | Direct         (** multi-level Direct Compaction (Section 2.1, Fig. 5b) *)
   | Level_by_level (** classic two-adjacent-levels compaction (ablation) *)
 
-type index_kind =
-  | Probe (** sorted last-level run, fence search + slot probe (default) *)
-  | Mph
-      (** CompassDB-style minimal-perfect-hash last-level run: gets
-          evaluate the MPH in DRAM and issue exactly one device read;
-          construction rides on the merge (see [Kv_common.Mph]) *)
-
 type t = {
   shards : int;           (** number of index shards *)
   memtable_slots : int;   (** slots per MemTable (16 B each; 512 = 8 KB) *)
@@ -26,7 +19,6 @@ type t = {
   lf_max : float;         (** randomized MemTable load-factor band, high *)
   abi_slots_factor : int; (** ABI slots = factor x memtable_slots *)
   abi_load_factor : float;
-  last_level_load_factor : float; (** target fill of the last-level table *)
   compaction : compaction_scheme;
   write_intensive : bool; (** Write-Intensive Mode (Section 2.3) *)
   gpm_enabled : bool;     (** dynamic Get-Protect Mode (Section 2.4) *)
@@ -54,9 +46,6 @@ type t = {
   scrub_budget_bytes : int;
       (** artifact bytes one {!Store.scrub} pass verifies by default
           (1 MiB); the scrubber stops scanning once the budget is spent *)
-  index_kind : index_kind;
-      (** last-level index structure (default [Probe]; [Mph] trades merge-
-          time construction for one-device-read gets) *)
   seed : int;             (** randomized-load-factor seed *)
 }
 

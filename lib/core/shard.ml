@@ -130,19 +130,11 @@ let build_table t clock ~slots entries =
   Linear_table.set_tag tbl (fresh_tag t);
   tbl
 
-(* The last level is one dense run, rebuilt wholesale by every merge.
-   [Probe] (default) keys it in sorted order so range scans can cursor it
-   (sorting rides on the rewrite, charged at [sort_per_key_ns]); [Mph]
-   lays the slots out under a minimal perfect hash built at merge time,
-   so a point get costs exactly one device read (scans then fall back to
-   the snapshot path). *)
+(* The last level is one dense run, rebuilt wholesale by every merge and
+   keyed in sorted order so range scans can cursor it (sorting rides on the
+   rewrite, charged at [sort_per_key_ns]). *)
 let build_last_table t clock entries =
-  let tbl =
-    match t.cfg.Config.index_kind with
-    | Config.Probe -> Linear_table.build_sorted t.dev clock entries
-    | Config.Mph ->
-      Linear_table.build_mph t.dev clock ~seed:t.cfg.Config.seed entries
-  in
+  let tbl = Linear_table.build_sorted t.dev clock entries in
   Linear_table.set_tag tbl (fresh_tag t);
   tbl
 
@@ -649,37 +641,16 @@ let lookup t clock key =
         (Some loc, Hit_abi)
       | None ->
         let t2 = if attr then Clock.now clock else 0.0 in
-        match probe_tables clock t.dumps key with
-        | Linear_table.Found loc ->
-          if attr then
-            Obs.Attribution.add Obs.Attribution.Get_level_probe
-              (Clock.now clock -. t2);
-          (Some loc, Hit_dump)
-        | Linear_table.Corrupted ->
-          if attr then
-            Obs.Attribution.add Obs.Attribution.Get_level_probe
-              (Clock.now clock -. t2);
-          (Some Types.corrupt_marker, Hit_corrupt)
-        | Linear_table.Absent ->
-          if attr then
-            Obs.Attribution.add Obs.Attribution.Get_level_probe
-              (Clock.now clock -. t2);
-          (* the last-level window gets its own stage when the run is
-             MPH-indexed, so the experiment can read the one-device-read
-             path straight off the attribution table *)
-          let t3 = if attr then Clock.now clock else 0.0 in
-          let mph_last =
-            match Levels.last t.lv with
-            | Some tbl -> Linear_table.is_mph tbl
-            | None -> false
-          in
-          let r = probe_last t clock key in
-          if attr then
-            Obs.Attribution.add
-              (if mph_last then Obs.Attribution.Get_mph
-               else Obs.Attribution.Get_level_probe)
-              (Clock.now clock -. t3);
-          r
+        let r =
+          match probe_tables clock t.dumps key with
+          | Linear_table.Found loc -> (Some loc, Hit_dump)
+          | Linear_table.Corrupted -> (Some Types.corrupt_marker, Hit_corrupt)
+          | Linear_table.Absent -> probe_last t clock key
+        in
+        if attr then
+          Obs.Attribution.add Obs.Attribution.Get_level_probe
+            (Clock.now clock -. t2);
+        r
     end
 
 let raw_lookup t clock key = fst (lookup t clock key)
@@ -829,9 +800,7 @@ let scan_stream t clock ~start =
   let last =
     match Levels.last t.lv with
     | None -> []
-    | Some tbl when Linear_table.is_sorted tbl ->
-      [ Scan.of_cursor (Linear_table.cursor tbl clock ~start) ]
-    | Some tbl -> [ run_source tbl ]
+    | Some tbl -> [ Scan.of_cursor (Linear_table.cursor tbl clock ~start) ]
   in
   Scan.merge ((mem :: abi) @ List.map run_source tables @ last)
 

@@ -563,25 +563,13 @@ let scrub t clock ~budget_bytes : Store_intf.scrub_report =
             if !spent < table_budget then begin
               incr scanned_entries;
               spent := !spent + Kv_common.Linear_table.byte_size tbl;
-              let slots_ok =
-                Kv_common.Linear_table.slots_intact ~charge_read:true tbl
-                  clock
-              in
-              let art_ok =
-                Kv_common.Linear_table.mph_intact ~charge_read:true tbl
-                  clock
-              in
-              if not (slots_ok && art_ok) then begin
+              if
+                not
+                  (Kv_common.Linear_table.intact ~charge_read:true tbl
+                     clock)
+              then begin
                 incr detected;
-                if slots_ok then begin
-                  (* MPH-artifact-only rot: the slot array still verifies,
-                     so the index is re-serialized from its DRAM mirror
-                     into a fresh allocation — one small write instead of
-                     a full shard rebuild *)
-                  Kv_common.Linear_table.rebuild_mph_artifact tbl clock;
-                  incr repaired
-                end
-                else t.health.(i) <- Store_intf.Degraded
+                t.health.(i) <- Store_intf.Degraded
               end
             end)
           (Shard.persistent_tables shard);

@@ -9,10 +9,11 @@ type exp = {
   title : string;
   run : ?seed:int -> Stores.scale -> string list;
       (** Print the experiment's tables and return the descriptions of its
-          enforced checks that failed.  [seed] (default 1) reseeds mph,
-          batch, cluster and chaos: every seed they use, store configs
-          included, becomes [base + seed - 1], so seed 1 reproduces the
-          recorded results.  The other experiments ignore it. *)
+          enforced checks that failed.  [seed] (default 1) reseeds fig12,
+          fig13, tab4, fig3, batch, cluster and chaos: every seed they
+          use, store configs included, becomes [base + seed - 1], so seed 1
+          reproduces the recorded results.  The other experiments ignore
+          it. *)
 }
 
 val all : exp list

@@ -45,16 +45,9 @@ let chameleon ?(f = fun cfg -> cfg) ?(name = "ChameleonDB") ?seed scale =
       (fun () -> Chameleondb.Store.store ~name
           (Chameleondb.Store.create ~cfg:(f (chameleon_cfg ?seed scale)) ())) }
 
-let chameleon_mph ?(cache_bytes = 0) ?seed scale =
-  chameleon ~name:"ChameleonDB-MPH"
-    ~f:(fun cfg ->
-      { cfg with Config.index_kind = Config.Mph; cache_bytes })
-    ?seed scale
-
-let all ?(cache_bytes = 0) ?seed scale =
+let paper ?(cache_bytes = 0) ?seed scale =
   let cfg = chameleon_cfg ?seed scale in
   [ chameleon ~f:(fun cfg -> { cfg with Config.cache_bytes }) ?seed scale;
-    chameleon_mph ~cache_bytes ?seed scale;
     { name = "Pmem-LSM-PinK";
       make =
         (fun () -> Baselines.Pmem_lsm.store
@@ -72,12 +65,16 @@ let all ?(cache_bytes = 0) ?seed scale =
         (fun () -> Baselines.Pmem_hash.store (Baselines.Pmem_hash.create ())) };
     { name = "Dram-Hash";
       make =
-        (fun () -> Baselines.Dram_hash.store (Baselines.Dram_hash.create ())) };
-    { name = "Hybrid-Viper";
-      make =
-        (fun () ->
-          Baselines.Hybrid_viper.store (Baselines.Hybrid_viper.create ())) }
+        (fun () -> Baselines.Dram_hash.store (Baselines.Dram_hash.create ())) }
   ]
+
+let all ?cache_bytes ?seed scale =
+  paper ?cache_bytes ?seed scale
+  @ [ { name = "Hybrid-Viper";
+        make =
+          (fun () ->
+            Baselines.Hybrid_viper.store (Baselines.Hybrid_viper.create ()))
+      } ]
 
 let find ?cache_bytes ?seed scale name =
   match

@@ -28,22 +28,23 @@ type spec = {
       (** fresh store on a fresh simulated device *)
 }
 
+val paper : ?cache_bytes:int -> ?seed:int -> scale -> spec list
+(** The six stores the paper evaluates, in its column order: ChameleonDB,
+    Pmem-LSM-PinK, Pmem-LSM-NF, Pmem-LSM-F, Pmem-Hash, Dram-Hash.  Paper
+    figures and tables iterate over this list, so extension stores never
+    widen them.  [cache_bytes] (default 0 = disabled) sizes ChameleonDB's
+    DRAM read cache; the baselines have none, as in the paper.  [seed] as
+    in {!chameleon_cfg}. *)
+
 val all : ?cache_bytes:int -> ?seed:int -> scale -> spec list
-(** The stores of the main evaluation: ChameleonDB, ChameleonDB-MPH,
-    Pmem-LSM-PinK, Pmem-LSM-NF, Pmem-LSM-F, Pmem-Hash, Dram-Hash,
-    Hybrid-Viper.  [cache_bytes] (default 0 = disabled) sizes the
-    ChameleonDB variants' DRAM read cache; the baselines have none, as in
-    the paper.  [seed] as in {!chameleon_cfg}. *)
+(** The whole store zoo: {!paper} followed by the extension store
+    Hybrid-Viper. *)
 
 val chameleon :
   ?f:(Chameleondb.Config.t -> Chameleondb.Config.t) -> ?name:string ->
   ?seed:int -> scale -> spec
 (** ChameleonDB with a config tweak (modes, compaction scheme, ablations);
     [name] labels the variant in reports and the crash sweep. *)
-
-val chameleon_mph : ?cache_bytes:int -> ?seed:int -> scale -> spec
-(** ChameleonDB with the perfect-hash last-level index
-    ([Config.index_kind = Mph]); named "ChameleonDB-MPH". *)
 
 val find : ?cache_bytes:int -> ?seed:int -> scale -> string -> spec
 

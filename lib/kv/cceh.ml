@@ -134,22 +134,30 @@ let split t clock seg dir_ix =
   in
   let lbuf = Bytes.make (seg_bytes t) '\000' in
   let rbuf = Bytes.make (seg_bytes t) '\000' in
+  (* an entry must land inside its probe window or lookups miss it; one
+     that finds the child's window full spills and is reinserted after the
+     directory is rewired (which may split the child in turn) *)
+  let spill = ref [] in
   let place buf child key loc =
     let hash = Hash.mix64 key in
     let start = Hash.slot_of ~hash ~slots:t.seg_slots in
     let rec free j =
-      let i = (start + j) mod t.seg_slots in
-      if
-        Int64.equal
-          (Bytes.get_int64_le buf (i * Types.slot_bytes))
-          Types.empty_key
-      then i
-      else free (j + 1)
+      if j >= t.probe_limit then None
+      else
+        let i = (start + j) mod t.seg_slots in
+        if
+          Int64.equal
+            (Bytes.get_int64_le buf (i * Types.slot_bytes))
+            Types.empty_key
+        then Some i
+        else free (j + 1)
     in
-    let i = free 0 in
-    Bytes.set_int64_le buf (i * Types.slot_bytes) key;
-    Bytes.set_int64_le buf ((i * Types.slot_bytes) + 8) (Int64.of_int loc);
-    child.n <- child.n + 1
+    match free 0 with
+    | Some i ->
+      Bytes.set_int64_le buf (i * Types.slot_bytes) key;
+      Bytes.set_int64_le buf ((i * Types.slot_bytes) + 8) (Int64.of_int loc);
+      child.n <- child.n + 1
+    | None -> spill := (key, loc) :: !spill
   in
   for i = 0 to t.seg_slots - 1 do
     let key = Bytes.get_int64_le raw (i * Types.slot_bytes) in
@@ -178,10 +186,11 @@ let split t clock seg dir_ix =
   done;
   for i = base + (width / 2) to base + width - 1 do
     t.dir.(i) <- right
-  done
+  done;
+  List.rev !spill
 
-let rec put t clock key loc =
-  assert (not (Int64.equal key Types.empty_key));
+(* [fresh] is false for an entry a split spilled: it is already counted. *)
+let rec insert t clock ~fresh key loc =
   Clock.advance clock (Cost_model.hash_ns +. Cost_model.dram_hit_ns);
   let hash = Hash.mix64 key in
   let ix = dir_index t hash in
@@ -191,10 +200,16 @@ let rec put t clock key loc =
   | `Empty i ->
     write_slot t clock seg i key loc;
     seg.n <- seg.n + 1;
-    t.count <- t.count + 1
+    if fresh then t.count <- t.count + 1
   | `Full ->
-    split t clock seg ix;
-    put t clock key loc
+    List.iter
+      (fun (k, l) -> insert t clock ~fresh:false k l)
+      (split t clock seg ix);
+    insert t clock ~fresh key loc
+
+let put t clock key loc =
+  assert (not (Int64.equal key Types.empty_key));
+  insert t clock ~fresh:true key loc
 
 let get t clock key =
   Clock.advance clock (Cost_model.hash_ns +. Cost_model.dram_hit_ns);

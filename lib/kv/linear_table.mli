@@ -32,32 +32,14 @@ val build_sorted :
     {!Types.key_compare} order (no probing, no holes) and a DRAM fence
     array records the first key of each write unit.  Charges
     [sort_per_key_ns] per entry plus the usual checksum/copy/write costs.
-    Later bindings of the same key override earlier ones.  Point {!get}s
-    binary-search the fences and touch exactly one unit; {!iter} and
-    {!cursor} stream in key order. *)
-
-val build_mph :
-  Pmem_sim.Device.t -> Pmem_sim.Clock.t -> ?seed:int ->
-  (Types.key * Types.loc) list -> t
-(** Perfect-hash variant of the run format (CompassDB-style, see {!Mph}):
-    the same dense 16 B-slot array, but each key occupies the slot the
-    minimal perfect hash assigns it.  The MPH lives in DRAM (counted in
-    {!dram_bytes}) and is additionally serialized to a CRC32C-checked
-    device artifact in its own allocation, persisted before the run is
-    published.  Later bindings of the same key override earlier ones.
-    Construction charges [mph_build_per_key_ns] per key plus
-    [hash_ns + dram_hit_ns] per displacement attempt; a point {!get}
-    evaluates the MPH in DRAM and issues exactly one device read. *)
-
-val is_sorted : t -> bool
-
-val is_mph : t -> bool
+    Later bindings of the same key override earlier ones.  A point {!get}
+    binary-searches the fences and fetches exactly one unit with one
+    device read; {!iter} and {!cursor} stream in key order. *)
 
 val dram_bytes : t -> int
 (** DRAM resident bytes of the run's index: the fence array for sorted
-    runs, the MPH mirror for perfect-hash runs, 0 for hashed runs. *)
+    runs, 0 for hashed runs. *)
 
-val slots : t -> int
 val count : t -> int
 (** Live entries. *)
 
@@ -73,38 +55,21 @@ val media_range : t -> int * int
     target for tests and the sweep. *)
 
 val get : t -> Pmem_sim.Clock.t -> Types.key -> probe
-(** Probe the persistent table.  The first probe is a random device read;
-    linear-probe successors within the same 256 B unit are charged as
-    adjacent accesses.  Each block is checksum-verified on first touch
-    (charged at [crc_ns_per_byte]); a failing block answers [Corrupted]
-    rather than trusting its slots. *)
+(** Probe the persistent table.  On a hashed run the first probe is a
+    random device read and linear-probe successors within the same 256 B
+    unit are charged as adjacent accesses.  On a sorted run the fence
+    search picks the one unit the key can live in, a single random device
+    read fetches it, and its slots are searched in the CPU cache at
+    [key_compare_ns] per compare.  Each block is checksum-verified on
+    first touch (charged at [crc_ns_per_byte]); a failing block answers
+    [Corrupted] rather than trusting its slots. *)
 
 val intact : ?charge_read:bool -> t -> Pmem_sim.Clock.t -> bool
 (** Verify the whole run: no poisoned media units and every per-unit block
-    checksum matches the device bytes — plus, on a perfect-hash run, the
-    durable MPH artifact ({!mph_intact}).  Always charges the streaming
-    CRC pass; [charge_read] (default false) additionally charges the bulk
+    checksum matches the device bytes.  Always charges the streaming CRC
+    pass; [charge_read] (default false) additionally charges the bulk
     device read — the scrubber sets it, while compaction piggybacks
     verification on the streaming read {!iter} already performs. *)
-
-val slots_intact : ?charge_read:bool -> t -> Pmem_sim.Clock.t -> bool
-(** {!intact} restricted to the slot array.  The scrubber uses the
-    [slots_intact] / [mph_intact] split to tell artifact-only damage
-    (repairable in place via {!rebuild_mph_artifact}) from slot damage
-    (full shard rebuild). *)
-
-val mph_intact : ?charge_read:bool -> t -> Pmem_sim.Clock.t -> bool
-(** Verify the durable MPH artifact: poison, magic and trailing CRC32C.
-    Vacuously true for non-MPH runs. *)
-
-val rebuild_mph_artifact : t -> Pmem_sim.Clock.t -> unit
-(** Re-serialize the DRAM mirror of the MPH into a fresh allocation and
-    drop the damaged artifact (dealloc clears its poison).  No-op on
-    non-MPH runs. *)
-
-val mph_media_range : t -> (int * int) option
-(** [(off, len)] of the durable MPH artifact — the media-fault injection
-    target for artifact-corruption tests.  [None] for non-MPH runs. *)
 
 val iter : t -> Pmem_sim.Clock.t -> (Types.key -> Types.loc -> unit) -> unit
 (** Stream the whole table from the device (one bulk read) and apply [f] to

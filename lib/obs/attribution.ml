@@ -3,7 +3,6 @@ type stage =
   | Get_memtable
   | Get_abi
   | Get_level_probe
-  | Get_mph
   | Get_log_read
   | Put_batch_copy
   | Put_index_insert
@@ -19,31 +18,30 @@ type stage =
   | Rpc_hedge
   | Rpc_timeout
 
-let nstages = 19
+let nstages = 18
 
 let index = function
   | Get_cache -> 0
   | Get_memtable -> 1
   | Get_abi -> 2
   | Get_level_probe -> 3
-  | Get_mph -> 4
-  | Get_log_read -> 5
-  | Put_batch_copy -> 6
-  | Put_index_insert -> 7
-  | Put_flush_stall -> 8
-  | Put_compaction_stall -> 9
-  | Put_group_commit -> 10
-  | Svc_decode -> 11
-  | Svc_queue -> 12
-  | Svc_execute -> 13
-  | Svc_encode -> 14
-  | Scan_stream -> 15
-  | Rpc_backoff -> 16
-  | Rpc_hedge -> 17
-  | Rpc_timeout -> 18
+  | Get_log_read -> 4
+  | Put_batch_copy -> 5
+  | Put_index_insert -> 6
+  | Put_flush_stall -> 7
+  | Put_compaction_stall -> 8
+  | Put_group_commit -> 9
+  | Svc_decode -> 10
+  | Svc_queue -> 11
+  | Svc_execute -> 12
+  | Svc_encode -> 13
+  | Scan_stream -> 14
+  | Rpc_backoff -> 15
+  | Rpc_hedge -> 16
+  | Rpc_timeout -> 17
 
 let all =
-  [ Get_cache; Get_memtable; Get_abi; Get_level_probe; Get_mph;
+  [ Get_cache; Get_memtable; Get_abi; Get_level_probe;
     Get_log_read; Put_batch_copy; Put_index_insert; Put_flush_stall;
     Put_compaction_stall; Put_group_commit; Svc_decode; Svc_queue;
     Svc_execute; Svc_encode; Scan_stream; Rpc_backoff; Rpc_hedge;
@@ -54,7 +52,6 @@ let name = function
   | Get_memtable -> "memtable"
   | Get_abi -> "abi"
   | Get_level_probe -> "level-probe"
-  | Get_mph -> "mph"
   | Get_log_read -> "log-read"
   | Put_batch_copy -> "batch-copy"
   | Put_index_insert -> "index-insert"
@@ -71,8 +68,7 @@ let name = function
   | Rpc_timeout -> "rpc-timeout"
 
 let op_of = function
-  | Get_cache | Get_memtable | Get_abi | Get_level_probe | Get_mph
-  | Get_log_read ->
+  | Get_cache | Get_memtable | Get_abi | Get_level_probe | Get_log_read ->
     `Get
   | Put_batch_copy | Put_index_insert | Put_flush_stall
   | Put_compaction_stall | Put_group_commit ->

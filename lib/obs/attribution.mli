@@ -27,9 +27,6 @@ type stage =
   | Get_memtable
   | Get_abi
   | Get_level_probe
-  | Get_mph
-      (** last-level probe through the minimal-perfect-hash index (DRAM
-          evaluation + one device read) *)
   | Get_log_read
   | Put_batch_copy
   | Put_index_insert

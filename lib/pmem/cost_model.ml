@@ -57,7 +57,6 @@ let sort_per_key_ns = 60.0
 let skiplist_probe_ns = 85.0
 let rehash_per_key_ns = 5.0
 let scan_per_entry_ns = 5.0
-let mph_build_per_key_ns = 30.0
 
 (* Piecewise-linear interpolation over log2(threads) through measured-shape
    anchor points at 1, 2, 4, 8, 16, 32 threads. *)

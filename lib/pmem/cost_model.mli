@@ -78,11 +78,6 @@ val scan_per_entry_ns : float
 (** Per-entry cost of sequentially scanning an in-DRAM table (the ABI-fed
     last-level compaction of Fig. 8). *)
 
-val mph_build_per_key_ns : float
-(** Per-key bookkeeping of a minimal-perfect-hash construction (bucket
-    partition, occupancy tracking); the displacement search itself is
-    charged per attempt at [hash_ns] + [dram_hit_ns]. *)
-
 (** {1 Thread scaling} *)
 
 val read_bw_scale : threads:int -> float

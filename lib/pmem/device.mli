@@ -99,6 +99,11 @@ val peek_u64 : t -> off:int -> int64
 
 val peek_bytes : t -> off:int -> len:int -> bytes
 
+val crc32c : t -> off:int -> len:int -> int32
+(** CRC32C of the range, computed over the device bytes in place: the
+    uncharged equivalent of [Crc32c.bytes (peek_bytes t ~off ~len)]
+    without the copy.  Callers price the pass themselves. *)
+
 (** {1 Crash model} *)
 
 val crash : t -> unit

@@ -324,6 +324,40 @@ let test_scan_parity_all () =
         (List.tl histories))
     [ (0L, 2 * n); (key (n / 2), 31); (key (n - 1), 10); (key n, 5) ]
 
+(* The paper's get path (Section 2.2): a key that reached the last level
+   costs one DRAM fence step, one random read of its 256 B unit and one log
+   read; a miss costs the unit read alone (none below the first fence).  A
+   per-slot walk of the unit would show up here as extra reads. *)
+let test_chameleon_last_level_get_reads () =
+  let db = Chameleondb.Store.create ~cfg:small_cfg () in
+  let h = Chameleondb.Store.store db in
+  let c = Clock.create () in
+  let n = 12_000 in
+  for i = 0 to n - 1 do
+    put h c (key i) ~vlen:8
+  done;
+  Store_intf.flush h c;
+  let last_hits = ref 0 and probed_misses = ref 0 in
+  for i = 0 to n + 499 do
+    let before = (Device.stats (Store_intf.device h)).Stats.read_ops in
+    let r = Chameleondb.Store.read db c (key i) in
+    let reads = (Device.stats (Store_intf.device h)).Stats.read_ops - before in
+    match r.Store_intf.stage with
+    | Store_intf.Last when reads = 2 -> incr last_hits
+    | Store_intf.Miss when i >= n && reads <= 1 ->
+      probed_misses := !probed_misses + reads
+    | Store_intf.Last | Store_intf.Miss ->
+      Alcotest.failf "key %d: %s answer took %d device reads" i
+        (Store_intf.stage_name r.Store_intf.stage) reads
+    | _ -> ()
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "most keys reached the last level (%d)" !last_hits)
+    true (!last_hits > n / 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "misses probe the last level (%d)" !probed_misses)
+    true (!probed_misses > 400)
+
 let () =
   Alcotest.run "baselines"
     [ ( "correctness",
@@ -362,5 +396,7 @@ let () =
             test_matrixkv_rowtable_traffic;
           Alcotest.test_case "multi-level get depth" `Quick
             test_pmem_lsm_get_depth;
+          Alcotest.test_case "ChameleonDB last-level get reads" `Quick
+            test_chameleon_last_level_get_reads;
           Alcotest.test_case "distinct store names" `Quick
             test_stores_have_names ] ) ]

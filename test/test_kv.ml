@@ -260,9 +260,6 @@ let test_lt_sorted_build_get () =
       (key 10, 99) ]
   in
   let t = LT.build_sorted d c entries in
-  Alcotest.(check bool) "sorted" true (LT.is_sorted t);
-  Alcotest.(check bool) "hashed build is not" false
-    (LT.is_sorted (LT.build d c ~slots:16 [ (1L, 1) ]));
   Alcotest.(check int) "deduped count" 5 (LT.count t);
   Alcotest.(check bool) "last binding wins" true
     (LT.get t c (key 10) = LT.Found 99);
