@@ -79,13 +79,16 @@ let () =
   in
 
   (* 3. Dram-Hash for contrast: the whole log must be scanned. *)
-  let dh = Baselines.Dram_hash.create () in
+  let dh = Baselines.Dram_hash.(store (create ())) in
   let clock = Clock.create () in
   for i = 0 to n - 1 do
-    Baselines.Dram_hash.put dh clock (Workload.Keyspace.key_of_index i) ~vlen:8
+    Store_intf.write dh clock (Workload.Keyspace.key_of_index i)
+      (Store_intf.Sized 8)
   done;
-  Baselines.Dram_hash.crash dh;
-  let restart = Baselines.Dram_hash.recover dh clock in
+  Store_intf.crash dh;
+  let t0 = Clock.now clock in
+  Store_intf.recover dh clock;
+  let restart = Clock.now clock -. t0 in
   Printf.printf "%-28s restart %8s   (full log scan)\n" "Dram-Hash"
     (Metrics.Table_fmt.cell_ns restart);
   print_endline "\ncrash_recovery OK"

@@ -1,4 +1,3 @@
-module Clock = Pmem_sim.Clock
 module Device = Pmem_sim.Device
 module Types = Kv_common.Types
 module Vlog = Kv_common.Vlog
@@ -10,36 +9,17 @@ type t = {
   mutable index : Robinhood.t;
 }
 
-let create ?dev () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
+let create () =
+  let dev = Device.create Pmem_sim.Cost_model.optane in
   { dev; vlog = Vlog.create dev; index = Robinhood.create () }
 
 let put t clock key ~vlen =
   let loc = Vlog.append t.vlog clock key ~vlen in
   Robinhood.put t.index clock key loc
 
-(* Distinguishes a detected-corrupt log record from a plain miss so the
-   store-level read can answer an explicit error instead of wrong data. *)
-let probe t clock key =
-  match Robinhood.get t.index clock key with
-  | Some loc when not (Types.is_tombstone loc) -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | Some _ | None -> `Miss
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
-
 let delete t clock key =
   let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
   ignore (Robinhood.delete t.index clock key)
-
-let count t = Robinhood.count t.index
 
 module Scan = Kv_common.Scan
 
@@ -66,12 +46,10 @@ let crash t =
    rescans from the head. *)
 let recover t clock =
   Kv_common.Fault_point.with_site Kv_common.Fault_point.Recovery @@ fun () ->
-  let t0 = Clock.now clock in
   Vlog.iter_range t.vlog clock ~lo:(Vlog.head t.vlog)
     ~hi:(Vlog.persisted t.vlog) (fun loc key vlen ->
       if vlen < 0 then ignore (Robinhood.delete t.index clock key)
-      else Robinhood.put t.index clock key loc);
-  Clock.now clock -. t0
+      else Robinhood.put t.index clock key loc)
 
 (* Every live index entry must point at a log record for its own key. *)
 let check_invariants t =
@@ -95,14 +73,11 @@ let store t : Kv_common.Store_intf.store =
 
     let write_batch = Kv_common.Store_intf.sequential_write_batch write
 
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
+    let read clock key =
+      Kv_common.Store_intf.verified_read t.vlog clock key
+        (match Robinhood.get t.index clock key with
+        | Some loc -> `Hit loc
+        | None -> `Miss)
 
     let delete clock key = delete t clock key
     let scan clock ~start ~limit = scan t clock ~start ~limit
@@ -112,7 +87,7 @@ let store t : Kv_common.Store_intf.store =
     let health () = Kv_common.Store_intf.Healthy
     let shard_degraded _ = false
     let crash () = crash t
-    let recover clock = ignore (recover t clock)
+    let recover clock = recover t clock
     let check_invariants () = check_invariants t
 
     let dram_footprint () =

@@ -8,18 +8,10 @@
 
 type t
 
-val create : ?dev:Pmem_sim.Device.t -> unit -> t
-
-val put : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> vlen:int -> unit
-val get : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> Kv_common.Types.loc option
-val delete : t -> Pmem_sim.Clock.t -> Kv_common.Types.key -> unit
-
-val count : t -> int
-val crash : t -> unit
-val recover : t -> Pmem_sim.Clock.t -> float
-(** Full log scan; returns restart time (ns). *)
-
-val check_invariants : t -> (unit, string) result
+val create : unit -> t
 
 val store : t -> Kv_common.Store_intf.store
-(** First-class store for the harness and the crash checker. *)
+(** First-class store for the harness and the crash checker.  Its
+    [recover] is a full log scan, and its [check_invariants] verifies
+    that every live index entry points at a log record for its own
+    key. *)

@@ -10,9 +10,8 @@
 
    The price is the other side of ChameleonDB's instant-restart
    tradeoff: the index is DRAM-only, so recovery must replay the entire
-   persisted log before serving.  [last_restart_ns] records what that
-   cost the most recent [recover]; the `batch` experiment reports the
-   gap against ChameleonDB's persisted last level. *)
+   persisted log before serving; the `batch` experiment reports the gap
+   against ChameleonDB's persisted last level. *)
 
 module Clock = Pmem_sim.Clock
 module Device = Pmem_sim.Device
@@ -27,22 +26,16 @@ type t = {
   dev : Device.t;
   vlog : Vlog.t;
   mutable index : Robinhood.t;
-  mutable last_restart_ns : float;
 }
 
-(* [buffer_bytes] sizes the log's staging buffer: a group larger than
-   this still persists with one fence per [buffer_bytes] of data, which
-   is the honest device behaviour for a bounded per-client buffer. *)
-let create ?dev ?(buffer_bytes = 64 * 1024) () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
+(* The log's 64 KB staging buffer: a group larger than this still
+   persists with one fence per 64 KB of data, which is the honest device
+   behaviour for a bounded per-client buffer. *)
+let create () =
+  let dev = Device.create Pmem_sim.Cost_model.optane in
   { dev;
-    vlog = Vlog.create ~batch_bytes:buffer_bytes dev;
-    index = Robinhood.create ();
-    last_restart_ns = 0.0 }
+    vlog = Vlog.create ~batch_bytes:(64 * 1024) dev;
+    index = Robinhood.create () }
 
 (* One put = one record append + its own persist fence (Viper's
    ntstore+fence discipline).  The ack implies durability. *)
@@ -68,23 +61,10 @@ let put_batch t clock items =
   Vlog.flush t.vlog clock;
   if attr then Obs.Attribution.add Put_group_commit (Clock.now clock -. t0)
 
-let probe t clock key =
-  match Robinhood.get t.index clock key with
-  | Some loc when not (Types.is_tombstone loc) -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | Some _ | None -> `Miss
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
-
 let delete t clock key =
   let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
   Vlog.flush t.vlog clock;
   ignore (Robinhood.delete t.index clock key)
-
-let count t = Robinhood.count t.index
 
 module Scan = Kv_common.Scan
 
@@ -109,16 +89,10 @@ let crash t =
    from the head. *)
 let recover t clock =
   Kv_common.Fault_point.with_site Kv_common.Fault_point.Recovery @@ fun () ->
-  let t0 = Clock.now clock in
   Vlog.iter_range t.vlog clock ~lo:(Vlog.head t.vlog)
     ~hi:(Vlog.persisted t.vlog) (fun loc key vlen ->
       if vlen < 0 then ignore (Robinhood.delete t.index clock key)
-      else Robinhood.put t.index clock key loc);
-  let dt = Clock.now clock -. t0 in
-  t.last_restart_ns <- dt;
-  dt
-
-let last_restart_ns t = t.last_restart_ns
+      else Robinhood.put t.index clock key loc)
 
 let check_invariants t =
   let bad = ref None in
@@ -141,14 +115,11 @@ let store t : Kv_common.Store_intf.store =
 
     let write_batch clock items = put_batch t clock items
 
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
+    let read clock key =
+      Kv_common.Store_intf.verified_read t.vlog clock key
+        (match Robinhood.get t.index clock key with
+        | Some loc -> `Hit loc
+        | None -> `Miss)
 
     let delete clock key = delete t clock key
     let scan clock ~start ~limit = scan t clock ~start ~limit
@@ -158,7 +129,7 @@ let store t : Kv_common.Store_intf.store =
     let health () = Kv_common.Store_intf.Healthy
     let shard_degraded _ = false
     let crash () = crash t
-    let recover clock = ignore (recover t clock)
+    let recover clock = recover t clock
     let check_invariants () = check_invariants t
 
     let dram_footprint () =

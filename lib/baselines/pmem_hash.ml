@@ -1,6 +1,4 @@
-module Clock = Pmem_sim.Clock
 module Device = Pmem_sim.Device
-module Types = Kv_common.Types
 module Vlog = Kv_common.Vlog
 module Cceh = Kv_common.Cceh
 
@@ -10,30 +8,13 @@ type t = {
   index : Cceh.t;
 }
 
-let create ?dev () =
-  let dev =
-    match dev with
-    | Some d -> d
-    | None -> Device.create Pmem_sim.Cost_model.optane
-  in
+let create () =
+  let dev = Device.create Pmem_sim.Cost_model.optane in
   { dev; vlog = Vlog.create ~fenced:true dev; index = Cceh.create dev }
 
 let put t clock key ~vlen =
   let loc = Vlog.append t.vlog clock key ~vlen in
   Cceh.put t.index clock key loc
-
-(* Distinguishes a detected-corrupt log record from a plain miss so the
-   store-level read can answer an explicit error instead of wrong data. *)
-let probe t clock key =
-  match Cceh.get t.index clock key with
-  | Some loc when not (Types.is_tombstone loc) -> (
-    match Vlog.read t.vlog clock loc with
-    | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-    | Error `Corrupt -> `Corrupt)
-  | Some _ | None -> `Miss
-
-let get t clock key =
-  match probe t clock key with `Hit loc -> Some loc | `Miss | `Corrupt -> None
 
 let delete t clock key =
   let _loc = Vlog.append t.vlog clock key ~vlen:(-1) in
@@ -53,11 +34,7 @@ let crash t =
    rebuild reads only persisted state. *)
 let recover t clock =
   Kv_common.Fault_point.with_site Kv_common.Fault_point.Recovery @@ fun () ->
-  let t0 = Clock.now clock in
-  Cceh.recover t.index clock;
-  Clock.now clock -. t0
-
-let cceh t = t.index
+  Cceh.recover t.index clock
 
 module Scan = Kv_common.Scan
 
@@ -83,14 +60,11 @@ let store t : Kv_common.Store_intf.store =
 
     let write_batch = Kv_common.Store_intf.sequential_write_batch write
 
-    let read clock key : Kv_common.Store_intf.read_result =
-      match probe t clock key with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
+    let read clock key =
+      Kv_common.Store_intf.verified_read t.vlog clock key
+        (match Cceh.get t.index clock key with
+        | Some loc -> `Hit loc
+        | None -> `Miss)
 
     let delete clock key = delete t clock key
     let scan clock ~start ~limit = scan t clock ~start ~limit
@@ -100,7 +74,7 @@ let store t : Kv_common.Store_intf.store =
     let health () = Kv_common.Store_intf.Healthy
     let shard_degraded _ = false
     let crash () = crash t
-    let recover clock = ignore (recover t clock)
+    let recover clock = recover t clock
     let check_invariants () = check_invariants t
 
     let dram_footprint () =

@@ -26,21 +26,6 @@ let c_flush_bytes = Obs.Counters.counter "flush.bytes"
 let c_compaction_bytes = Obs.Counters.counter "compaction.bytes"
 let c_put_stall_ns = Obs.Counters.counter "put.stall_ns"
 let c_memtable_hits = Obs.Counters.counter "get.memtable_hits"
-let c_bloom_fp = Obs.Counters.counter "bloom.false_positives"
-
-(* Per-level false-positive counters, registered on first use (the global
-   [c_bloom_fp] keeps its historical name for existing reports). *)
-let fp_level_cache = Hashtbl.create 8
-
-let c_bloom_fp_level level =
-  match Hashtbl.find_opt fp_level_cache level with
-  | Some c -> c
-  | None ->
-    let c =
-      Obs.Counters.counter (Printf.sprintf "bloom.false_positives.L%d" level)
-    in
-    Hashtbl.add fp_level_cache level c;
-    c
 
 let bg_tid id = 1000 + id
 
@@ -269,9 +254,12 @@ let delete t clock key =
 
 (* {2 Get path: MemTable, then every table level by level.} *)
 
-let probe_table t shard clock ~level tbl key =
+(* The last level is never pinned in DRAM: even PinK probes it on the
+   device.  The F variant consults the table's filter first at every
+   level; a "maybe" the table does not confirm is a false positive. *)
+let probe_table t shard clock ~level ~last tbl key =
   match t.variant with
-  | Pink ->
+  | Pink when not last ->
     (* DRAM mirror probe: not subject to media corruption *)
     let result, probes = Linear_table.get_silent tbl key in
     Clock.advance clock
@@ -280,28 +268,6 @@ let probe_table t shard clock ~level tbl key =
     (match result with
     | Some loc -> Linear_table.Found loc
     | None -> Linear_table.Absent)
-  | Nf -> Linear_table.get tbl clock key
-  | F ->
-    let bloom = Hashtbl.find_opt shard.blooms (Linear_table.tag tbl) in
-    let maybe_present =
-      match bloom with
-      | Some b -> Bloom.mem ~level b clock key
-      | None -> true
-    in
-    if maybe_present then begin
-      let r = Linear_table.get tbl clock key in
-      if r = Linear_table.Absent && bloom <> None then begin
-        Obs.Counters.incr c_bloom_fp;
-        Obs.Counters.incr (c_bloom_fp_level level)
-      end;
-      r
-    end
-    else Linear_table.Absent
-
-(* The last level is never pinned in DRAM: even PinK probes it on the
-   device (the F variant still consults its filter first). *)
-let probe_last t shard clock ~level tbl key =
-  match t.variant with
   | Nf | Pink -> Linear_table.get tbl clock key
   | F ->
     let bloom = Hashtbl.find_opt shard.blooms (Linear_table.tag tbl) in
@@ -312,10 +278,8 @@ let probe_last t shard clock ~level tbl key =
     in
     if maybe_present then begin
       let r = Linear_table.get tbl clock key in
-      if r = Linear_table.Absent && bloom <> None then begin
-        Obs.Counters.incr c_bloom_fp;
-        Obs.Counters.incr (c_bloom_fp_level level)
-      end;
+      if r = Linear_table.Absent && bloom <> None then
+        Bloom.false_positive ~level;
       r
     end
     else Linear_table.Absent
@@ -344,7 +308,8 @@ let shard_get t shard clock key =
       if level >= u then
         match Levels.last shard.lv with
         | Some tbl ->
-          (of_probe (probe_last t shard clock ~level:u tbl key), n + 1)
+          ( of_probe (probe_table t shard clock ~level:u ~last:true tbl key),
+            n + 1 )
         | None -> (`Miss, n)
       else begin
         let rec go_tables n = function
@@ -352,7 +317,7 @@ let shard_get t shard clock key =
           | tbl :: rest ->
             (* a corrupt block fails the whole probe closed: falling through
                to an older level could resurrect a superseded version *)
-            (match probe_table t shard clock ~level tbl key with
+            (match probe_table t shard clock ~level ~last:false tbl key with
             | Linear_table.Found loc -> (`Hit loc, n + 1)
             | Linear_table.Corrupted -> (`Corrupt, n + 1)
             | Linear_table.Absent -> go_tables (n + 1) rest)
@@ -366,30 +331,16 @@ let shard_get t shard clock key =
         (Clock.now clock -. t1);
     r
 
-let resolve = function
-  | `Hit loc when Types.is_tombstone loc -> `Miss
-  | r -> r
-
-let probe_with_level t clock key =
+let read_with_level t clock key =
   Obs.Trace.begin_span clock ~cat:"op" "get";
   let result, probed = shard_get t (shard_of t key) clock key in
-  let result =
-    match resolve result with
-    | `Hit loc -> (
-      match Vlog.read t.vlog clock loc with
-      | Ok (k, _) -> if Int64.equal k key then `Hit loc else `Corrupt
-      | Error `Corrupt -> `Corrupt)
-    | (`Miss | `Corrupt) as r -> r
-  in
+  let r = Kv_common.Store_intf.verified_read t.vlog clock key result in
   Obs.Trace.end_span clock ~cat:"op" "get";
-  (result, probed)
+  (r, probed)
 
 let get_with_level t clock key =
-  match probe_with_level t clock key with
-  | `Hit loc, probed -> (Some loc, probed)
-  | (`Miss | `Corrupt), probed -> (None, probed)
-
-let get t clock key = fst (get_with_level t clock key)
+  let r, probed = read_with_level t clock key in
+  (r.Kv_common.Store_intf.loc, probed)
 
 let flush_all t clock =
   Array.iter
@@ -565,14 +516,7 @@ let store t : Kv_common.Store_intf.store =
 
     let write_batch = Kv_common.Store_intf.sequential_write_batch write
 
-    let read clock key : Kv_common.Store_intf.read_result =
-      match fst (probe_with_level t clock key) with
-      | `Hit loc ->
-        { loc = Some loc; stage = Kv_common.Store_intf.Index; value = None }
-      | `Miss ->
-        { loc = None; stage = Kv_common.Store_intf.Miss; value = None }
-      | `Corrupt ->
-        { loc = None; stage = Kv_common.Store_intf.Corrupt; value = None }
+    let read clock key = fst (read_with_level t clock key)
 
     let delete clock key = delete t clock key
     let scan clock ~start ~limit = scan t clock ~start ~limit

@@ -38,6 +38,7 @@ let mem_silent t key =
 
 let c_probes = Obs.Counters.counter "bloom.probes"
 let c_negatives = Obs.Counters.counter "bloom.negatives"
+let c_false_positives = Obs.Counters.counter "bloom.false_positives"
 
 (* Per-level probe/negative counters, registered on first use.  Levels are
    small integers, so a memoized array of counter handles keeps the hot
@@ -54,6 +55,22 @@ let level_counters level =
     in
     Hashtbl.add per_level_cache level c;
     c
+
+let fp_level_cache = Hashtbl.create 8
+
+let fp_level_counter level =
+  match Hashtbl.find_opt fp_level_cache level with
+  | Some c -> c
+  | None ->
+    let c =
+      Obs.Counters.counter (Printf.sprintf "bloom.false_positives.L%d" level)
+    in
+    Hashtbl.add fp_level_cache level c;
+    c
+
+let false_positive ~level =
+  Obs.Counters.incr c_false_positives;
+  Obs.Counters.incr (fp_level_counter level)
 
 let add t clock key =
   Pmem_sim.Clock.advance clock Pmem_sim.Cost_model.bloom_build_per_key_ns;

@@ -1,5 +1,5 @@
-(** Bloom filters, as used by the Pmem-LSM-F baseline (and by NoveLSM /
-    MatrixKV models).
+(** Bloom filters, as used by the Pmem-LSM-F baseline (and by the leveled
+    NoveLSM / MatrixKV model).
 
     The filter itself lives in DRAM; what matters to the simulation is the
     CPU cost: {!add} charges the construction cost the paper identifies as
@@ -19,6 +19,10 @@ val mem : ?level:int -> t -> Pmem_sim.Clock.t -> Types.key -> bool
     against the global [bloom.probes] / [bloom.negatives]; with [?level],
     additionally against [bloom.probes.L<n>] / [bloom.negatives.L<n>], so
     experiments can report per-level filter traffic. *)
+
+val false_positive : level:int -> unit
+(** Count a filter that said "maybe" for a key its table did not hold,
+    against [bloom.false_positives] and [bloom.false_positives.L<level>]. *)
 
 val add_silent : t -> Types.key -> unit
 (** Insert without charging time (used when rebuilding in tests). *)

@@ -52,6 +52,18 @@ type read_result = {
   value : bytes option;
 }
 
+(* The read tail every index-over-log baseline shares: a tombstone is a
+   miss; a hit pays one log read and must name its own key, else the
+   answer is an explicit [Corrupt], never wrong data. *)
+let verified_read vlog clock key = function
+  | `Hit loc when not (Types.is_tombstone loc) -> (
+    match Vlog.read vlog clock loc with
+    | Ok (k, _) when Int64.equal k key ->
+      { loc = Some loc; stage = Index; value = None }
+    | Ok _ | Error `Corrupt -> { loc = None; stage = Corrupt; value = None })
+  | `Hit _ | `Miss -> { loc = None; stage = Miss; value = None }
+  | `Corrupt -> { loc = None; stage = Corrupt; value = None }
+
 type value_spec = Sized of int | Payload of bytes
 
 let spec_vlen = function

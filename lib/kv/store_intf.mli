@@ -57,6 +57,15 @@ type read_result = {
           holds them); [None] in accounting-only mode *)
 }
 
+val verified_read :
+  Vlog.t -> Pmem_sim.Clock.t -> Types.key ->
+  [ `Hit of Types.loc | `Miss | `Corrupt ] -> read_result
+(** The read tail of a store whose index points into the log: an index
+    [`Hit] on a tombstone is a {!Miss}; any other hit pays one
+    {!Vlog.read} and answers {!Index} if the record holds [key], else
+    {!Corrupt}.  An index [`Corrupt] (a damaged run block) stays
+    {!Corrupt}. *)
+
 type value_spec =
   | Sized of int     (** accounting-only payload of [vlen] bytes *)
   | Payload of bytes (** real payload (retained in materialized mode) *)

@@ -16,16 +16,17 @@ let small_cfg = { Config.default with Config.shards = 4; memtable_slots = 32 }
 let lsm variant () =
   Baselines.Pmem_lsm.store (Baselines.Pmem_lsm.create ~cfg:small_cfg variant)
 
+let leveled shape =
+  Baselines.Leveled_lsm.(store (create shape ~memtable_cap:256 ~l0_runs:2))
+
 let all_stores () =
   [ lsm Baselines.Pmem_lsm.Nf ();
     lsm Baselines.Pmem_lsm.F ();
     lsm Baselines.Pmem_lsm.Pink ();
     Baselines.Pmem_hash.store (Baselines.Pmem_hash.create ());
     Baselines.Dram_hash.store (Baselines.Dram_hash.create ());
-    Baselines.Novelsm.store
-      (Baselines.Novelsm.create ~memtable_cap:256 ~l0_runs:2 ());
-    Baselines.Matrixkv.store
-      (Baselines.Matrixkv.create ~memtable_cap:256 ~l0_sublevels:2 ()) ]
+    leveled Baselines.Leveled_lsm.Novelsm;
+    leveled Baselines.Leveled_lsm.Matrixkv ]
 
 (* -------------------------- Generic per-store checks --------------------- *)
 
@@ -90,10 +91,8 @@ let test_model_with_crashes_lsm_family () =
       lsm Baselines.Pmem_lsm.F ();
       lsm Baselines.Pmem_lsm.Pink ();
       Baselines.Dram_hash.store (Baselines.Dram_hash.create ());
-      Baselines.Novelsm.store
-        (Baselines.Novelsm.create ~memtable_cap:256 ~l0_runs:2 ());
-      Baselines.Matrixkv.store
-        (Baselines.Matrixkv.create ~memtable_cap:256 ~l0_sublevels:2 ()) ]
+      leveled Baselines.Leveled_lsm.Novelsm;
+      leveled Baselines.Leveled_lsm.Matrixkv ]
 
 let test_model_with_crashes_pmem_hash () =
   Model_check.run ~ops:4_000 ~universe:400 ~crash_every:1_000 ~seed:81
@@ -180,8 +179,10 @@ let test_lsm_variant_footprints () =
   Alcotest.(check bool) "PinK largest (pinned upper levels)" true (pink > f)
 
 let test_novelsm_memtable_in_pmem () =
-  let store = Baselines.Novelsm.create ~memtable_cap:100_000 () in
-  let h = Baselines.Novelsm.store store in
+  let h =
+    Baselines.Leveled_lsm.(
+      store (create Novelsm ~memtable_cap:100_000 ~l0_runs:4))
+  in
   let c = Clock.create () in
   let before =
     (Device.stats (Store_intf.device h)).Stats.media_write_bytes
@@ -199,8 +200,8 @@ let test_novelsm_memtable_in_pmem () =
 let test_matrixkv_rowtable_traffic () =
   let mk_bytes sublevels =
     let h =
-      Baselines.Matrixkv.store
-        (Baselines.Matrixkv.create ~memtable_cap:128 ~l0_sublevels:sublevels ())
+      Baselines.Leveled_lsm.(
+        store (create Matrixkv ~memtable_cap:128 ~l0_runs:sublevels))
     in
     let c = Clock.create () in
     for i = 0 to 2_000 do

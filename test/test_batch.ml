@@ -137,17 +137,7 @@ let with_server ~max_requests f =
   let store = (Stores.find Stores.quick "Hybrid-Viper").Stores.make () in
   let clock = Clock.create () in
   let backend = Endpoint.backend_of_store ~clock store in
-  let server =
-    Thread.create (fun () -> Endpoint.serve ~max_requests ~path backend) ()
-  in
-  let rec wait_sock n =
-    if n = 0 then Alcotest.fail "socket never appeared";
-    if not (Sys.file_exists path) then begin
-      Thread.delay 0.05;
-      wait_sock (n - 1)
-    end
-  in
-  wait_sock 100;
+  let server = Serving.start ~max_requests ~path backend in
   let c = Endpoint.connect path in
   f c;
   Endpoint.close c;

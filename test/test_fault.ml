@@ -71,10 +71,23 @@ let test_vlog_torn_batch () =
 
 let tiny = Harness.Stores.quick
 
-let six_stores () =
+(* The leveled NoveLSM/MatrixKV model, sized so a few thousand ops over a
+   few hundred keys flush, compact L0 and cascade down to the deepest
+   level. *)
+let leveled_stores () =
+  List.map
+    (fun shape ->
+      let make () =
+        Baselines.Leveled_lsm.(store (create shape ~memtable_cap:8 ~l0_runs:2))
+      in
+      (Store_intf.name (make ()), make))
+    Baselines.Leveled_lsm.[ Novelsm; Matrixkv ]
+
+let checked_stores () =
   List.map
     (fun spec -> (spec.Harness.Stores.name, spec.Harness.Stores.make))
     (Harness.Stores.all tiny)
+  @ leveled_stores ()
 
 let test_checker_clean_run () =
   List.iter
@@ -82,7 +95,7 @@ let test_checker_clean_run () =
       let o = Checker.run_case ~make ~ops:2_000 ~universe:200 ~seed:7 () in
       Alcotest.(check bool) (name ^ ": no crash") false o.Checker.crashed;
       Alcotest.(check (list string)) (name ^ ": clean") [] o.Checker.violations)
-    (six_stores ())
+    (checked_stores ())
 
 let test_checker_crash_all_stores () =
   List.iter
@@ -100,7 +113,80 @@ let test_checker_crash_all_stores () =
       Alcotest.(check bool) (name ^ ": crash fired") true o.Checker.crashed;
       Alcotest.(check (list string))
         (name ^ ": no violations") [] o.Checker.violations)
-    (six_stores ())
+    (checked_stores ())
+
+(* Both leveled shapes survive a crash at the first, middle and last
+   persist event of each of their fault sites (plus crashes during
+   recovery) at three seeds, with [check_invariants] after every verify
+   sweep. *)
+let test_leveled_sweep () =
+  List.iter
+    (fun (name, make) ->
+      let v =
+        Sweep.run_store ~name ~make ~seeds:[ 1; 11; 101 ] ~ops:3_000
+          ~universe:300 ()
+      in
+      Alcotest.(check bool) (name ^ ": crashes fired") true (v.Sweep.v_fired > 0);
+      List.iter
+        (fun f ->
+          Alcotest.failf "%s: %s (%s)" name
+            (String.concat " | " f.Sweep.f_violations)
+            (Sweep.repro_hint f.Sweep.f_case))
+        v.Sweep.v_failures)
+    (leveled_stores ())
+
+(* The sweep's first/middle/last crash points miss the leveled model's
+   compactions, so crash at every persist event of the flush that
+   triggers the first L0 -> L1 merge.  A crash inside the merge leaves L0
+   one run over its limit, and replaying the short log tail does not
+   flush again: recovery itself must finish the merge.  Every key whose
+   log record persisted must still read back. *)
+let test_leveled_compaction_crash () =
+  let key = Workload.Keyspace.key_of_index in
+  let fill store clock ~lo ~hi =
+    for i = lo to hi - 1 do
+      Store_intf.write store clock (key i) (Store_intf.Sized 8)
+    done
+  in
+  (* memtable_cap 8, l0_runs 2: 24 puts leave two L0 runs and a full
+     MemTable, so the next flush writes the third run *)
+  let loaded make =
+    let store = make () and clock = Clock.create () in
+    fill store clock ~lo:0 ~hi:24;
+    (store, clock, Fault.Injector.attach (Store_intf.device store))
+  in
+  List.iter
+    (fun (name, make) ->
+      let events =
+        let store, clock, inj = loaded make in
+        Fault.Injector.observe inj;
+        Store_intf.flush store clock;
+        List.fold_left (fun a (_, n) -> a + n) 0 (Fault.Injector.counts inj)
+      in
+      let mid_merge = ref 0 in
+      for after = 0 to events - 1 do
+        let store, clock, inj = loaded make in
+        Fault.Injector.arm inj ~after ();
+        (match Store_intf.flush store clock with
+        | () -> Alcotest.failf "%s: crash %d did not fire" name after
+        | exception Fault.Injector.Crash_injected -> ());
+        Fault.Injector.detach inj;
+        if Store_intf.check_invariants store <> Ok () then incr mid_merge;
+        Store_intf.crash store;
+        Store_intf.recover store clock;
+        (match Store_intf.check_invariants store with
+        | Ok () -> ()
+        | Error m -> Alcotest.failf "%s: crash %d: %s" name after m);
+        for i = 0 to min 24 (Vlog.persisted (Store_intf.vlog store)) - 1 do
+          if (Store_intf.read store clock (key i)).Store_intf.loc = None then
+            Alcotest.failf "%s: crash %d lost key %d" name after i
+        done
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: some crash landed mid-merge (%d of %d)" name
+           !mid_merge events)
+        true (!mid_merge > 0))
+    (leveled_stores ())
 
 (* ----------------------- Crash during recovery ---------------------------- *)
 
@@ -185,6 +271,10 @@ let () =
             test_checker_clean_run;
           Alcotest.test_case "crash case (all stores)" `Quick
             test_checker_crash_all_stores;
+          Alcotest.test_case "leveled LSM sweep (seeds 1, 11, 101)" `Quick
+            test_leveled_sweep;
+          Alcotest.test_case "leveled LSM crash inside a merge" `Quick
+            test_leveled_compaction_crash;
           Alcotest.test_case "crash-during-recovery idempotent" `Quick
             test_recovery_crash_idempotent;
           Alcotest.test_case "WIM sweep (absorb-floor regression)" `Quick

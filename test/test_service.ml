@@ -522,15 +522,7 @@ let test_endpoint_roundtrip () =
   let backend =
     Endpoint.backend_of_store ~clock (Chameleondb.Store.store sdb)
   in
-  let server = Thread.create (fun () -> Endpoint.serve ~max_requests:5 ~path backend) () in
-  let rec wait_sock n =
-    if n = 0 then Alcotest.fail "socket never appeared";
-    if not (Sys.file_exists path) then begin
-      Thread.delay 0.05;
-      wait_sock (n - 1)
-    end
-  in
-  wait_sock 100;
+  let server = Serving.start ~max_requests:5 ~path backend in
   let c = Endpoint.connect path in
   Alcotest.(check bool) "put ok" true
     (Endpoint.request c (Proto.Put (5L, Bytes.of_string "abc")) = Proto.Ok);
@@ -567,17 +559,7 @@ let test_endpoint_batch_and_malformed_inner () =
   in
   (* corrupt frames do not count as served requests, so exactly two good
      requests let the server exit *)
-  let server =
-    Thread.create (fun () -> Endpoint.serve ~max_requests:2 ~path backend) ()
-  in
-  let rec wait_sock n =
-    if n = 0 then Alcotest.fail "socket never appeared";
-    if not (Sys.file_exists path) then begin
-      Thread.delay 0.05;
-      wait_sock (n - 1)
-    end
-  in
-  wait_sock 100;
+  let server = Serving.start ~max_requests:2 ~path backend in
   (* 1: a pipelined batch gets one reply per inner op, in order *)
   let c = Endpoint.connect path in
   (match
